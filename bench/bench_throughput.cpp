@@ -61,7 +61,9 @@ double msSince(std::chrono::steady_clock::time_point T0) {
 
 /// The seed executor, verbatim: spawn a worker pool per launch, join it,
 /// one block per atomic claim, one arena allocation per worker. This is
-/// the baseline the persistent pool is gated against.
+/// the baseline the persistent pool is gated against. Its blocks get the
+/// same check word runBlocks gives them, so both sides run the same
+/// block code.
 void spawnPerLaunchRunBlocks(GpuDevice &Dev, Dim3 Grid, Dim3 Block,
                              size_t SharedBytes,
                              const std::function<void(BlockCtx &)> &RunBlock) {
@@ -79,6 +81,7 @@ void spawnPerLaunchRunBlocks(GpuDevice &Dev, Dim3 Grid, Dim3 Block,
     B.SharedBytes = SharedBytes;
     B.Dev = &Dev;
     B.SharedBufferId = sim::detail::FirstSharedBufferId + Linear;
+    B.Checks = Dev.accessChecks();
     if (SharedBytes)
       std::memset(Arena, 0, SharedBytes);
     RunBlock(B);

@@ -21,6 +21,10 @@
 #include "sim/Sim.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <optional>
 #include <sstream>
 
 using namespace descend;
@@ -67,6 +71,260 @@ std::string boundLambda(const Nat &N,
   return OS.str();
 }
 
+//===----------------------------------------------------------------------===//
+// Coordinate local types
+//
+// A phase body reads the block/thread coordinates through locals. They
+// are `unsigned` — the type of the simulator's Dim3/ThreadCtx fields, and
+// what handwritten kernels index with, so GCC can split a thread loop at
+// a `_tx < c` guard the same way for both — whenever that provably
+// computes what `long long` locals would. It does when every
+// unsigned-typed intermediate of every printed index, guard and loop
+// bound stays in [0, 2^32): then no unsigned operation wraps, and every
+// conversion to a wider type sees the exact value. Otherwise the body
+// keeps `long long` locals.
+//
+// The check follows how C++ parses the printed text, not the Nat tree:
+// natToCpp leaves a same-precedence right operand of + and *
+// unparenthesized, so `a + (b + c)` prints as, and evaluates like,
+// `(a + b) + c`.
+//===----------------------------------------------------------------------===//
+
+/// Inclusive value range of each coordinate local (`_bx` .. `_tz`).
+using CoordRanges = std::map<std::string, std::pair<long long, long long>>;
+
+class UnsignedCoordCheck {
+public:
+  explicit UnsignedCoordCheck(CoordRanges Ranges) : Ranges(std::move(Ranges)) {}
+
+  /// True when \p Body may declare its coordinates `unsigned`.
+  bool run(const std::vector<kir::Stmt> &Body) {
+    stmts(Body);
+    return Ok;
+  }
+
+private:
+  /// The C++ type a printed subexpression has: an int literal, an
+  /// unsigned expression (coordinates, possibly with int literals), or a
+  /// 64-bit one (loop variables, hoisted indices, shifts, big literals).
+  enum class Ty { Int, U32, Wide };
+  struct Val {
+    Ty T = Ty::Wide;
+    __int128 Lo = 0, Hi = 0; // exact value range; meaningful unless Wide
+  };
+  static constexpr __int128 U32Max = 0xffffffffll;
+
+  static bool isBinary(NatKind K) {
+    return K == NatKind::Add || K == NatKind::Sub || K == NatKind::Mul ||
+           K == NatKind::Div || K == NatKind::Mod;
+  }
+  static unsigned prec(NatKind K) {
+    return K == NatKind::Add || K == NatKind::Sub ? 1 : 2;
+  }
+
+  /// Appends the operands of \p N's same-precedence chain in the order
+  /// C++ folds them, each with the operator joining it to the left.
+  static void flatten(const Nat &N, NatKind Lead,
+                      std::vector<std::pair<NatKind, Nat>> &Seq) {
+    const unsigned P = prec(N.kind());
+    if (isBinary(N.lhs().kind()) && prec(N.lhs().kind()) == P)
+      flatten(N.lhs(), Lead, Seq);
+    else
+      Seq.push_back({Lead, N.lhs()});
+    const bool RhsInline =
+        (N.kind() == NatKind::Add || N.kind() == NatKind::Mul) &&
+        isBinary(N.rhs().kind()) && prec(N.rhs().kind()) == P;
+    if (RhsInline)
+      flatten(N.rhs(), N.kind(), Seq);
+    else
+      Seq.push_back({N.kind(), N.rhs()});
+  }
+
+  void need(bool Cond) { Ok = Ok && Cond; }
+  static bool inU32(const Val &V) { return V.Lo >= 0 && V.Hi <= U32Max; }
+
+  Val combine(const Val &A, NatKind Op, const Val &B) {
+    Val R;
+    if (A.T == Ty::Wide || B.T == Ty::Wide)
+      return R; // 64-bit arithmetic: the long long semantics
+    R.T = A.T == Ty::U32 || B.T == Ty::U32 ? Ty::U32 : Ty::Int;
+    switch (Op) {
+    case NatKind::Add:
+      R.Lo = A.Lo + B.Lo;
+      R.Hi = A.Hi + B.Hi;
+      break;
+    case NatKind::Sub:
+      R.Lo = A.Lo - B.Hi;
+      R.Hi = A.Hi - B.Lo;
+      break;
+    case NatKind::Mul: {
+      const __int128 P[] = {A.Lo * B.Lo, A.Lo * B.Hi, A.Hi * B.Lo,
+                            A.Hi * B.Hi};
+      R.Lo = *std::min_element(std::begin(P), std::end(P));
+      R.Hi = *std::max_element(std::begin(P), std::end(P));
+      break;
+    }
+    default: // Div, Mod: only ranges of non-negative by positive
+      if (A.Lo < 0 || B.Lo < 1) {
+        R.Lo = -1; // unknown: fails any unsigned use below
+        R.Hi = U32Max + 1;
+        break;
+      }
+      R.Lo = Op == NatKind::Div ? A.Lo / B.Hi : 0;
+      R.Hi = Op == NatKind::Div ? A.Hi / B.Lo : std::min(A.Hi, B.Hi - 1);
+      break;
+    }
+    if (R.T == Ty::U32)
+      need(inU32(R));
+    return R;
+  }
+
+  /// \p N as printed: an atom, or a chain folded left to right.
+  Val nat(const Nat &N) {
+    switch (N.kind()) {
+    case NatKind::Lit: {
+      Val V;
+      const long long L = N.litValue();
+      V.T = L >= INT32_MIN && L <= INT32_MAX ? Ty::Int : Ty::Wide;
+      V.Lo = V.Hi = L;
+      return V;
+    }
+    case NatKind::Var: {
+      auto It = Ranges.find(N.varName());
+      if (It == Ranges.end())
+        return Val{}; // loop variable or hoisted index: long long
+      return Val{Ty::U32, It->second.first, It->second.second};
+    }
+    case NatKind::Pow:
+      nat(N.rhs()); // the shift amount is checked on its own
+      return Val{};
+    default: {
+      std::vector<std::pair<NatKind, Nat>> Seq;
+      flatten(N, N.kind(), Seq);
+      Val Acc = nat(Seq.front().second);
+      for (size_t I = 1; I != Seq.size(); ++I)
+        Acc = combine(Acc, Seq[I].first, nat(Seq[I].second));
+      return Acc;
+    }
+    }
+  }
+  Val printed(const Nat &N) { return nat(N.simplified()); }
+
+  void expr(const kir::Expr &E, bool Operand) {
+    switch (E.K) {
+    case kir::ExprKind::NatVal:
+      // An unsigned value is exact on its own, but as an operand of a
+      // scalar operator (`i - _tx`, `-_tx`) it would make that unsigned.
+      need(printed(E.N).T != Ty::U32 || !Operand);
+      return;
+    case kir::ExprKind::Load:
+      printed(E.Index);
+      return;
+    case kir::ExprKind::Binary:
+      if (E.Lhs)
+        expr(*E.Lhs, true);
+      if (E.Rhs)
+        expr(*E.Rhs, true);
+      return;
+    case kir::ExprKind::Unary:
+      if (E.Sub)
+        expr(*E.Sub, true);
+      return;
+    default:
+      return;
+    }
+  }
+
+  /// A wide access also reads element Index + 1.
+  void index(const Nat &N, unsigned Width) {
+    const Val V = printed(N);
+    if (V.T == Ty::U32)
+      need(V.Hi + (Width - 1) <= U32Max);
+  }
+
+  void stmts(const std::vector<kir::Stmt> &Body) {
+    for (const kir::Stmt &S : Body)
+      stmt(S);
+  }
+
+  void stmt(const kir::Stmt &S) {
+    switch (S.K) {
+    case kir::StmtKind::Let:
+    case kir::StmtKind::Assign:
+      if (S.Value) {
+        if (S.Width == 2 && S.Value->K == kir::ExprKind::Load)
+          index(S.Value->Index, 2);
+        else
+          expr(*S.Value, false);
+      }
+      return;
+    case kir::StmtKind::LetIndex:
+      printed(S.Index);
+      return;
+    case kir::StmtKind::Store:
+      index(S.Index, S.Width);
+      if (S.Value)
+        expr(*S.Value, false);
+      if (S.Value2)
+        expr(*S.Value2, false);
+      return;
+    case kir::StmtKind::If: {
+      const Val L = printed(S.CondL), R = printed(S.CondR);
+      if (L.T == Ty::U32 || R.T == Ty::U32)
+        need(L.T == Ty::Wide || R.T == Ty::Wide || (inU32(L) && inU32(R)));
+      // Narrow a `coord < c` / `c < coord` guard's coordinate per branch.
+      const Nat CL = S.CondL.simplified(), CR = S.CondR.simplified();
+      std::string Coord;
+      long long C = 0;
+      bool CoordLeft = false;
+      if (CL.kind() == NatKind::Var && CR.isLit() &&
+          Ranges.count(CL.varName())) {
+        Coord = CL.varName();
+        C = CR.litValue();
+        CoordLeft = true;
+      } else if (CR.kind() == NatKind::Var && CL.isLit() &&
+                 Ranges.count(CR.varName())) {
+        Coord = CR.varName();
+        C = CL.litValue();
+      }
+      branch(S.Then, Coord, CoordLeft, C, /*Taken=*/true);
+      branch(S.Else, Coord, CoordLeft, C, /*Taken=*/false);
+      return;
+    }
+    case kir::StmtKind::For:
+      printed(S.Lo);
+      printed(S.Hi);
+      stmts(S.Body);
+      return;
+    case kir::StmtKind::Barrier:
+      return;
+    }
+  }
+
+  /// Checks one branch of a guard with \p Coord narrowed: `Coord < C`
+  /// (CoordLeft) or `C < Coord` holds iff \p Taken. A branch no thread
+  /// can reach is skipped.
+  void branch(const std::vector<kir::Stmt> &Body, const std::string &Coord,
+              bool CoordLeft, long long C, bool Taken) {
+    if (Coord.empty()) {
+      stmts(Body);
+      return;
+    }
+    const std::pair<long long, long long> Saved = Ranges[Coord];
+    auto &[Lo, Hi] = Ranges[Coord];
+    if (CoordLeft == Taken) // Coord < C holds, or C < Coord fails
+      Hi = std::min(Hi, CoordLeft ? C - 1 : C);
+    else // C < Coord holds, or Coord < C fails
+      Lo = std::max(Lo, CoordLeft ? C : C + 1);
+    if (Lo <= Hi)
+      stmts(Body);
+    Ranges[Coord] = Saved;
+  }
+
+  CoordRanges Ranges;
+  bool Ok = true;
+};
+
 class SimBackend final : public Backend {
 public:
   const char *name() const override { return "sim"; }
@@ -77,12 +335,17 @@ public:
 };
 
 /// Emits one phase body — a typed kernel-IR statement vector printed with
-/// the simulator spelling — as a lambda argument/statement body.
+/// the simulator spelling — as a lambda argument/statement body. The
+/// coordinate locals are `unsigned` where UnsignedCoordCheck proves that
+/// exact for the kernel's \p Coords ranges (empty: extents unknown).
 void emitPhaseBody(std::ostringstream &OS, const std::vector<kir::Stmt> &Body,
                    const std::vector<LoopBinding> &Enclosing,
-                   std::string &Err) {
-  OS << "      const long long _bx = _b.X, _by = _b.Y, _bz = _b.Z;\n";
-  OS << "      const long long _tx = _t.X, _ty = _t.Y, _tz = _t.Z;\n";
+                   const CoordRanges &Coords, std::string &Err) {
+  const char *CoordTy =
+      !Coords.empty() && UnsignedCoordCheck(Coords).run(Body) ? "unsigned"
+                                                              : "long long";
+  OS << "      const " << CoordTy << " _bx = _b.X, _by = _b.Y, _bz = _b.Z;\n";
+  OS << "      const " << CoordTy << " _tx = _t.X, _ty = _t.Y, _tz = _t.Z;\n";
   OS << "      const size_t _lin = _b.CurThread;\n";
   OS << "      (void)_bx; (void)_by; (void)_bz; (void)_tx; (void)_ty; "
         "(void)_tz; (void)_lin;\n";
@@ -98,11 +361,12 @@ void emitPhaseBody(std::ostringstream &OS, const std::vector<kir::Stmt> &Body,
 /// Emits the nodes of a phase program as PhaseProgram builder calls.
 void emitProgramNodes(std::ostringstream &OS,
                       const std::vector<PhaseNode> &Nodes,
-                      std::vector<LoopBinding> &Enclosing, std::string &Err) {
+                      std::vector<LoopBinding> &Enclosing,
+                      const CoordRanges &Coords, std::string &Err) {
   for (const PhaseNode &N : Nodes) {
     if (N.K == PhaseNode::Straight) {
       OS << "  _prog.straight([&](BlockCtx &_b, ThreadCtx &_t) {\n";
-      emitPhaseBody(OS, N.Body, Enclosing, Err);
+      emitPhaseBody(OS, N.Body, Enclosing, Coords, Err);
       OS << "    });\n";
       continue;
     }
@@ -112,7 +376,7 @@ void emitProgramNodes(std::ostringstream &OS,
        << boundLambda(N.Lo, Enclosing) << ",\n      "
        << boundLambda(N.Hi, Enclosing) << ");\n";
     Enclosing.push_back(LoopBinding{N.Var, N.Slot});
-    emitProgramNodes(OS, N.Children, Enclosing, Err);
+    emitProgramNodes(OS, N.Children, Enclosing, Coords, Err);
     Enclosing.pop_back();
     OS << "  _prog.loopEnd();\n";
   }
@@ -157,6 +421,23 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
                     Get(Axis::Y), Get(Axis::Z));
     };
 
+    // Coordinate ranges for the phase bodies' local types; empty when an
+    // extent does not evaluate.
+    CoordRanges Coords;
+    for (auto [D, Prefix] : {std::pair{&Fn.Exec.GridDim, "_b"},
+                             std::pair{&Fn.Exec.BlockDim, "_t"}})
+      for (auto [A, Suffix] :
+           {std::pair{Axis::X, "x"}, std::pair{Axis::Y, "y"},
+            std::pair{Axis::Z, "z"}}) {
+        std::optional<long long> E = 1;
+        if (D->hasAxis(A))
+          E = D->extent(A).evaluate({});
+        if (E && *E >= 1)
+          Coords[std::string(Prefix) + Suffix] = {0, *E - 1};
+      }
+    if (Coords.size() != 6)
+      Coords.clear();
+
     unsigned Threads = 1;
     if (auto T = Fn.Exec.BlockDim.total().evaluate({}))
       Threads = *T;
@@ -188,7 +469,7 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
       std::vector<LoopBinding> None;
       for (const PhaseNode &N : L.Program.Nodes) {
         OS << ",\n    [&](BlockCtx &_b, ThreadCtx &_t) {\n";
-        emitPhaseBody(OS, N.Body, None, PrintErr);
+        emitPhaseBody(OS, N.Body, None, Coords, PrintErr);
         OS << "    }";
       }
       OS << ");\n}\n";
@@ -203,7 +484,7 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
     // host-side loop structure, executed by launchProgram.
     OS << "  descend::sim::PhaseProgram _prog;\n";
     std::vector<LoopBinding> Enclosing;
-    emitProgramNodes(OS, L.Program.Nodes, Enclosing, PrintErr);
+    emitProgramNodes(OS, L.Program.Nodes, Enclosing, Coords, PrintErr);
     if (!PrintErr.empty()) {
       R.Error = "while printing `" + Fn.Name + "`: " + PrintErr;
       return R;

@@ -7,11 +7,15 @@
 //
 // Collection is strictly per block: the simulator gives every executing
 // block a private BlockCounters (reached through BlockCtx::Counters, null
-// when counters are off, so the hot path pays one predicted branch per
-// access). At block exit the simulator merges the block's counters into
-// the launch's LaunchStats under a mutex. Every merge is a commutative
-// sum, so the totals are bit-identical no matter how blocks were
-// distributed over workers — the property tests/obs_test.cpp pins.
+// when counters are off). Accesses reach it only through the simulator's
+// checked seam (sim::detail::observeGlobal / observeShared), which an
+// access enters when its block's check word is set, so with every
+// observer off counting costs nothing beyond the one test of that word
+// each access makes anyway. At block exit the simulator merges the
+// block's counters into the launch's LaunchStats under a mutex. Every
+// merge is a commutative sum, so the totals are bit-identical no matter
+// how blocks were distributed over workers — the property
+// tests/obs_test.cpp pins.
 //
 // The bank-conflict model (the classic 32-bank, 4-byte-word shared
 // memory): threads are grouped into warps of 32 by their linear id, and

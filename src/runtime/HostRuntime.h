@@ -82,7 +82,7 @@ private:
 template <typename T>
 sim::GpuDevice::Buffer<T> allocCopy(sim::GpuDevice &Dev,
                                     const HostBuffer<T> &Host) {
-  auto Buf = Dev.alloc<T>(Host.size());
+  auto Buf = Dev.allocUninitialized<T>(Host.size());
   std::memcpy(Buf.data(), Host.data(), Host.size() * sizeof(T));
   return Buf;
 }
@@ -127,7 +127,7 @@ void copyToGpu(sim::GpuDevice::Buffer<T> &Dst, const HostBuffer<T> &Src,
 template <typename T>
 sim::GpuDevice::Buffer<T> allocCopyAsync(sim::Stream &S,
                                          const HostBuffer<T> &Host) {
-  auto Buf = S.device().alloc<T>(Host.size());
+  auto Buf = S.device().allocUninitialized<T>(Host.size());
   T *Dst = Buf.data();
   const T *Src = Host.data();
   const size_t Bytes = Host.size() * sizeof(T);
@@ -191,7 +191,7 @@ template <typename T>
 sim::GpuDevice::Buffer<T> allocCopyCapture(sim::Stream &S, unsigned Slot,
                                            size_t Count,
                                            const char *Name = nullptr) {
-  auto Buf = S.device().alloc<T>(Count);
+  auto Buf = S.device().allocUninitialized<T>(Count);
   const size_t Bytes = Count * sizeof(T);
   S.declareCaptureSlot(Slot, Bytes, Name ? Name : "");
   T *Dst = Buf.data();

@@ -393,7 +393,7 @@ void GpuDevice::deviceSynchronize() {
                               0; });
 }
 
-std::byte *GpuDevice::allocRaw(size_t Bytes, unsigned &IdOut) {
+std::byte *GpuDevice::allocRaw(size_t Bytes, unsigned &IdOut, bool Zero) {
   // Fault injection: `alloc:N` fails the N-th device allocation — the
   // deterministic stand-in for device-memory exhaustion. The failure is
   // sticky (CUDA: an allocation failure poisons the context) and
@@ -406,8 +406,11 @@ std::byte *GpuDevice::allocRaw(size_t Bytes, unsigned &IdOut) {
     setDeviceError(ErrorCode::AllocFailed, Msg);
     throw DeviceError(ErrorCode::AllocFailed, Msg);
   }
-  auto Mem = std::make_unique<std::byte[]>(Bytes);
-  std::memset(Mem.get(), 0, Bytes);
+  // Plain array new leaves the bytes uninitialized; zero them only when
+  // the caller will not overwrite them anyway.
+  std::unique_ptr<std::byte[]> Mem(new std::byte[Bytes]);
+  if (Zero)
+    std::memset(Mem.get(), 0, Bytes);
   // Several host threads may serve requests against one device (each
   // with its own stream); allocation is off the launch hot path, so a
   // mutex keeps the bookkeeping safe. Handed-out pointers are stable —
@@ -442,6 +445,31 @@ void GpuDevice::logBounds(unsigned BufferId, size_t Offset, size_t Size) {
   // execution, so violating blocks may report from pool workers.
   std::lock_guard<std::mutex> G(BoundsM);
   BoundsViolations.push_back(R);
+}
+
+bool detail::observeGlobal(const BlockCtx &B, unsigned BufferId, size_t I,
+                           size_t Count, bool Write, unsigned Width) {
+  if (B.Counters)
+    B.Counters->countGlobal(Write);
+  if (B.Checks & CheckRaces)
+    for (unsigned K = 0; K != Width; ++K)
+      B.Dev->logAccess(B, BufferId, I + K, Write);
+  // In range when all Width elements are: I < Count first, so neither
+  // side of the comparison can wrap.
+  if ((B.Checks & CheckBounds) && !(I < Count && Count - I >= Width)) {
+    B.Dev->logBounds(BufferId, I + (Width - 1), Count);
+    return false;
+  }
+  return true;
+}
+
+void detail::observeShared(const BlockCtx &B, size_t Off, size_t ElemBytes,
+                           bool Write, unsigned Width) {
+  if (B.Counters)
+    B.Counters->countShared(Off, Write, B.CurThread);
+  if (B.Checks & CheckRaces)
+    for (unsigned K = 0; K != Width; ++K)
+      B.Dev->logAccess(B, B.SharedBufferId, Off + K * ElemBytes, Write);
 }
 
 void GpuDevice::clearLogs() {
@@ -709,7 +737,10 @@ void detail::runBlocks(GpuDevice &Dev, Dim3 Grid, Dim3 Block,
   // Per-launch counters: blocks count into private BlockCounters and
   // merge here under MergeM. Every merge is a commutative sum, so totals
   // are bit-equal no matter how the pool distributed the blocks.
-  const bool Count = Dev.countersEnabled();
+  // The check word every block of this launch gets: one snapshot of the
+  // device's observers, so the launch sees one consistent set.
+  const unsigned Checks = Dev.accessChecks();
+  const bool Count = Checks & CheckCounters;
   LaunchStats LS;
   std::mutex MergeM;
   size_t RaceLogBefore = 0;
@@ -736,6 +767,7 @@ void detail::runBlocks(GpuDevice &Dev, Dim3 Grid, Dim3 Block,
     // Shared arenas are per block instance: give each block its own
     // logical buffer id so the detector separates them.
     B.SharedBufferId = FirstSharedBufferId + Linear;
+    B.Checks = Checks;
     if (Wd.LaunchTimeoutMs) {
       B.Ctl = &Ctl;
       if (Ctl.cancelled()) [[unlikely]]

@@ -40,14 +40,25 @@
 //    operation — the per-op enqueue cost of a serving loop collapses to
 //    a single enqueue per request.
 //
-// Observability (both off by default; the hot path pays one predicted
-// branch):
+// Observability (all off by default): perf counters (obs/Counters.h),
+// race detection and bounds checking. detail::runBlocks snapshots which
+// of them a launch runs into one check word per block (BlockCtx::Checks).
+// Every accessor — Buffer::load/store/load2/store2 and
+// BlockCtx::sharedLoad/Store/Load2/Store2, for generated and handwritten
+// kernels alike — is a force-inlined fast path that tests that word once
+// (`if (Checks) [[unlikely]]`) and otherwise touches memory directly; a
+// set word routes the access through the single out-of-line checked seam
+// (detail::observeGlobal / observeShared), which the vm's access opcodes
+// call too:
+//  * Counters tick first: the access was *issued* whether or not it
+//    lands.
 //  * Race detection logs (buffer, offset, mode, thread, phase) accesses and
 //    reports CUDA-model races: same offset, >=1 write, different threads,
 //    and either different blocks (no ordering at all) or the same block in
 //    the same phase (no barrier in between).
-//  * Bounds checking records out-of-range accesses instead of corrupting
-//    memory (used to demonstrate the Section 2.3 launch-size bug).
+//  * Bounds checking records out-of-range global accesses instead of
+//    corrupting memory (used to demonstrate the Section 2.3 launch-size
+//    bug); a logged access is never landed.
 //
 // Failure semantics (sim/Fault.h): a kernel trap, failed allocation,
 // dropped event signal or watchdog timeout records a sticky device-level
@@ -233,6 +244,13 @@ private:
 
 class GpuDevice;
 
+/// Bits of BlockCtx::Checks: the per-access observers a launch runs.
+enum AccessCheck : unsigned {
+  CheckCounters = 1u << 0, ///< perf counters (BlockCtx::Counters is set)
+  CheckRaces = 1u << 1,    ///< race detection (GpuDevice::logAccess)
+  CheckBounds = 1u << 2,   ///< bounds checking (GpuDevice::logBounds)
+};
+
 /// Per-block execution context: block coordinates, dims, the shared-memory
 /// arena and the logging position (updated per thread/phase; block-local,
 /// so parallel block execution stays race-free).
@@ -246,9 +264,15 @@ struct BlockCtx {
   unsigned CurThread = 0;      // linear id of the executing thread
   unsigned CurPhase = 0;
 
-  /// Per-block perf counters; null (and free apart from the predicted
-  /// branch per access) unless GpuDevice::setCounters(true). Block-local
-  /// like everything else here, so counting needs no synchronization.
+  /// The block's check word: the AccessCheck bits of its launch, set once
+  /// per block by detail::runBlocks from GpuDevice::accessChecks(). Zero
+  /// (the default) keeps every accessor on its one-branch fast path;
+  /// nonzero sends each access through the checked seam.
+  unsigned Checks = 0;
+
+  /// Per-block perf counters; null unless GpuDevice::setCounters(true)
+  /// (then Checks has CheckCounters). Block-local like everything else
+  /// here, so counting needs no synchronization.
   obs::BlockCounters *Counters = nullptr;
 
   /// Wall-clock watchdog control of the enclosing launch; null unless a
@@ -271,17 +295,36 @@ struct BlockCtx {
     return reinterpret_cast<T *>(SharedArena + Offset);
   }
 
-  // Logged shared-memory access; see class GpuDevice for the global side.
-  template <typename T> T sharedLoad(size_t Base, size_t I) const;
-  template <typename T> void sharedStore(size_t Base, size_t I, T V) const;
+  // Observed shared-memory access at element I of the array at byte
+  // Base; see GpuDevice::Buffer for the global side.
+  template <typename T>
+  [[gnu::always_inline]] T sharedLoad(size_t Base, size_t I) const;
+  template <typename T>
+  [[gnu::always_inline]] void sharedStore(size_t Base, size_t I, T V) const;
 
   // Wide (two-element) access at elements I and I+1, fused by the
   // vectorize schedule pass into ONE issued transaction: a single counter
   // tick at the first element's byte offset, both elements race-logged.
   template <typename T>
-  void sharedLoad2(size_t Base, size_t I, T &V0, T &V1) const;
+  [[gnu::always_inline]] void sharedLoad2(size_t Base, size_t I, T &V0,
+                                          T &V1) const;
   template <typename T>
-  void sharedStore2(size_t Base, size_t I, T V0, T V1) const;
+  [[gnu::always_inline]] void sharedStore2(size_t Base, size_t I, T V0,
+                                           T V1) const;
+
+private:
+  // The checked slow paths (Checks != 0): the seam observes, then the
+  // access lands. Out of line so the fast paths stay small.
+  template <typename T>
+  [[gnu::noinline]] T checkedSharedLoad(size_t Base, size_t I) const;
+  template <typename T>
+  [[gnu::noinline]] void checkedSharedStore(size_t Base, size_t I, T V) const;
+  template <typename T>
+  [[gnu::noinline]] void checkedSharedLoad2(size_t Base, size_t I, T &V0,
+                                            T &V1) const;
+  template <typename T>
+  [[gnu::noinline]] void checkedSharedStore2(size_t Base, size_t I, T V0,
+                                             T V1) const;
 };
 
 /// Thread coordinates within a block.
@@ -302,6 +345,10 @@ public:
 
   /// Allocates a zero-initialized global buffer of \p Count elements.
   template <typename T> Buffer<T> alloc(size_t Count);
+  /// Allocates a global buffer of \p Count elements without initializing
+  /// it: for a caller that overwrites all of it before any kernel reads
+  /// it (alloc_copy), so device memory is written once, not twice.
+  template <typename T> Buffer<T> allocUninitialized(size_t Count);
 
   /// Enables the dynamic race detector. Forces sequential block execution
   /// so the log is deterministic.
@@ -310,6 +357,15 @@ public:
 
   void setBoundsChecking(bool On) { BoundsChecking = On; }
   bool boundsChecking() const { return BoundsChecking; }
+
+  /// The AccessCheck bits a launch starting now gives its blocks (see
+  /// BlockCtx::Checks): read once per launch, so toggling an observer
+  /// between launches takes effect at the next one.
+  unsigned accessChecks() const {
+    return (countersEnabled() ? CheckCounters : 0u) |
+           (RaceDetection ? CheckRaces : 0u) |
+           (BoundsChecking ? CheckBounds : 0u);
+  }
 
   /// Enables per-launch perf counters (obs::LaunchStats). Orthogonal to
   /// race detection and composable with it: under race detection the
@@ -417,7 +473,7 @@ public:
   void logAccess(const BlockCtx &B, unsigned BufferId, size_t Offset,
                  bool Write);
   void logBounds(unsigned BufferId, size_t Offset, size_t Size);
-  std::byte *allocRaw(size_t Bytes, unsigned &IdOut);
+  std::byte *allocRaw(size_t Bytes, unsigned &IdOut, bool Zero = true);
 
 private:
   bool RaceDetection = false;
@@ -458,6 +514,28 @@ private:
   std::vector<BoundsReport> BoundsViolations;
 };
 
+namespace detail {
+/// The checked seam: the one place an observed access is counted, race-
+/// logged and bounds-checked, in that order. The Buffer accessors call
+/// it when their block's check word is set; the vm's global access
+/// opcodes call it the same way.
+///
+/// A global access of \p Width elements at element \p I of buffer
+/// \p BufferId (\p Count elements): counts one issued transaction,
+/// race-logs each element, and — under bounds checking — logs an access
+/// reaching past the buffer at its last element and returns false, in
+/// which case the caller must not land it. Returns true otherwise.
+bool observeGlobal(const BlockCtx &B, unsigned BufferId, size_t I,
+                   size_t Count, bool Write, unsigned Width);
+
+/// A shared access of \p Width elements of \p ElemBytes bytes each at
+/// byte \p Off of the block's arena: counts one transaction at \p Off
+/// (the bank-conflict model) and race-logs each element. Shared accesses
+/// are not bounds-checked.
+void observeShared(const BlockCtx &B, size_t Off, size_t ElemBytes,
+                   bool Write, unsigned Width);
+} // namespace detail
+
 /// Typed handle to a global buffer. Copyable; does not own the memory.
 template <typename T> class GpuDevice::Buffer {
 public:
@@ -470,79 +548,72 @@ public:
   T *data() { return Data; }
   const T *data() const { return Data; }
 
-  /// Device-side access from inside a kernel phase. Counters tick before
-  /// the bounds check, mirroring the race log: the access was *issued*
-  /// whether or not it lands.
-  T load(const BlockCtx &B, size_t I) const {
-    if (B.Counters) [[unlikely]]
-      B.Counters->countGlobal(/*Write=*/false);
-    if (Dev->raceDetection()) [[unlikely]]
-      Dev->logAccess(B, Id, I, /*Write=*/false);
-    if (Dev->boundsChecking()) [[unlikely]] {
-      if (I >= Count) {
-        Dev->logBounds(Id, I, Count);
-        return T{};
-      }
-    }
+  /// Device-side access from inside a kernel phase: one test of the
+  /// block's check word, then the raw access. With any observer on, the
+  /// access goes through detail::observeGlobal, and an access it rejects
+  /// (out of range under bounds checking) never lands — loads return T{}.
+  [[gnu::always_inline]] T load(const BlockCtx &B, size_t I) const {
+    if (B.Checks) [[unlikely]]
+      return checkedLoad(B, I);
     return Data[I];
   }
-  void store(const BlockCtx &B, size_t I, T Value) const {
-    if (B.Counters) [[unlikely]]
-      B.Counters->countGlobal(/*Write=*/true);
-    if (Dev->raceDetection()) [[unlikely]]
-      Dev->logAccess(B, Id, I, /*Write=*/true);
-    if (Dev->boundsChecking()) [[unlikely]] {
-      if (I >= Count) {
-        Dev->logBounds(Id, I, Count);
-        return;
-      }
-    }
+  [[gnu::always_inline]] void store(const BlockCtx &B, size_t I,
+                                    T Value) const {
+    if (B.Checks) [[unlikely]]
+      return checkedStore(B, I, Value);
     Data[I] = Value;
   }
 
   /// Wide (two-element) access at elements I and I+1, fused by the
   /// vectorize schedule pass into ONE issued transaction: a single
   /// counter tick, but both elements race-logged and bounds-checked.
-  void load2(const BlockCtx &B, size_t I, T &V0, T &V1) const {
-    if (B.Counters) [[unlikely]]
-      B.Counters->countGlobal(/*Write=*/false);
-    if (Dev->raceDetection()) [[unlikely]] {
-      Dev->logAccess(B, Id, I, /*Write=*/false);
-      Dev->logAccess(B, Id, I + 1, /*Write=*/false);
-    }
-    if (Dev->boundsChecking()) [[unlikely]] {
-      if (I + 1 >= Count) {
-        Dev->logBounds(Id, I + 1, Count);
-        V0 = V1 = T{};
-        return;
-      }
-    }
+  [[gnu::always_inline]] void load2(const BlockCtx &B, size_t I, T &V0,
+                                    T &V1) const {
+    if (B.Checks) [[unlikely]]
+      return checkedLoad2(B, I, V0, V1);
     V0 = Data[I];
     V1 = Data[I + 1];
   }
-  void store2(const BlockCtx &B, size_t I, T V0, T V1) const {
-    if (B.Counters) [[unlikely]]
-      B.Counters->countGlobal(/*Write=*/true);
-    if (Dev->raceDetection()) [[unlikely]] {
-      Dev->logAccess(B, Id, I, /*Write=*/true);
-      Dev->logAccess(B, Id, I + 1, /*Write=*/true);
-    }
-    if (Dev->boundsChecking()) [[unlikely]] {
-      if (I + 1 >= Count) {
-        Dev->logBounds(Id, I + 1, Count);
-        return;
-      }
-    }
+  [[gnu::always_inline]] void store2(const BlockCtx &B, size_t I, T V0,
+                                     T V1) const {
+    if (B.Checks) [[unlikely]]
+      return checkedStore2(B, I, V0, V1);
     Data[I] = V0;
     Data[I + 1] = V1;
   }
 
 private:
   friend class GpuDevice;
-  Buffer(GpuDevice *Dev, T *Data, size_t Count, unsigned Id)
-      : Dev(Dev), Data(Data), Count(Count), Id(Id) {}
+  Buffer(T *Data, size_t Count, unsigned Id)
+      : Data(Data), Count(Count), Id(Id) {}
 
-  GpuDevice *Dev = nullptr;
+  [[gnu::noinline]] T checkedLoad(const BlockCtx &B, size_t I) const {
+    return detail::observeGlobal(B, Id, I, Count, /*Write=*/false, 1)
+               ? Data[I]
+               : T{};
+  }
+  [[gnu::noinline]] void checkedStore(const BlockCtx &B, size_t I,
+                                      T Value) const {
+    if (detail::observeGlobal(B, Id, I, Count, /*Write=*/true, 1))
+      Data[I] = Value;
+  }
+  [[gnu::noinline]] void checkedLoad2(const BlockCtx &B, size_t I, T &V0,
+                                      T &V1) const {
+    if (!detail::observeGlobal(B, Id, I, Count, /*Write=*/false, 2)) {
+      V0 = V1 = T{};
+      return;
+    }
+    V0 = Data[I];
+    V1 = Data[I + 1];
+  }
+  [[gnu::noinline]] void checkedStore2(const BlockCtx &B, size_t I, T V0,
+                                       T V1) const {
+    if (!detail::observeGlobal(B, Id, I, Count, /*Write=*/true, 2))
+      return;
+    Data[I] = V0;
+    Data[I + 1] = V1;
+  }
+
   T *Data = nullptr;
   size_t Count = 0;
   unsigned Id = 0;
@@ -551,47 +622,74 @@ private:
 template <typename T> GpuDevice::Buffer<T> GpuDevice::alloc(size_t Count) {
   unsigned Id = 0;
   std::byte *Raw = allocRaw(Count * sizeof(T), Id);
-  return Buffer<T>(this, reinterpret_cast<T *>(Raw), Count, Id);
+  return Buffer<T>(reinterpret_cast<T *>(Raw), Count, Id);
 }
 
 template <typename T>
-T BlockCtx::sharedLoad(size_t Base, size_t I) const {
-  if (Counters) [[unlikely]]
-    Counters->countShared(Base + I * sizeof(T), /*Write=*/false, CurThread);
-  if (Dev->raceDetection()) [[unlikely]]
-    Dev->logAccess(*this, SharedBufferId, Base + I * sizeof(T), false);
+GpuDevice::Buffer<T> GpuDevice::allocUninitialized(size_t Count) {
+  unsigned Id = 0;
+  std::byte *Raw = allocRaw(Count * sizeof(T), Id, /*Zero=*/false);
+  return Buffer<T>(reinterpret_cast<T *>(Raw), Count, Id);
+}
+
+template <typename T>
+inline T BlockCtx::sharedLoad(size_t Base, size_t I) const {
+  if (Checks) [[unlikely]]
+    return checkedSharedLoad<T>(Base, I);
   return shared<T>(Base)[I];
 }
 
 template <typename T>
-void BlockCtx::sharedStore(size_t Base, size_t I, T V) const {
-  if (Counters) [[unlikely]]
-    Counters->countShared(Base + I * sizeof(T), /*Write=*/true, CurThread);
-  if (Dev->raceDetection()) [[unlikely]]
-    Dev->logAccess(*this, SharedBufferId, Base + I * sizeof(T), true);
+inline void BlockCtx::sharedStore(size_t Base, size_t I, T V) const {
+  if (Checks) [[unlikely]]
+    return checkedSharedStore<T>(Base, I, V);
   shared<T>(Base)[I] = V;
 }
 
 template <typename T>
-void BlockCtx::sharedLoad2(size_t Base, size_t I, T &V0, T &V1) const {
-  if (Counters) [[unlikely]]
-    Counters->countShared(Base + I * sizeof(T), /*Write=*/false, CurThread);
-  if (Dev->raceDetection()) [[unlikely]] {
-    Dev->logAccess(*this, SharedBufferId, Base + I * sizeof(T), false);
-    Dev->logAccess(*this, SharedBufferId, Base + (I + 1) * sizeof(T), false);
-  }
+inline void BlockCtx::sharedLoad2(size_t Base, size_t I, T &V0,
+                                  T &V1) const {
+  if (Checks) [[unlikely]]
+    return checkedSharedLoad2<T>(Base, I, V0, V1);
   V0 = shared<T>(Base)[I];
   V1 = shared<T>(Base)[I + 1];
 }
 
 template <typename T>
-void BlockCtx::sharedStore2(size_t Base, size_t I, T V0, T V1) const {
-  if (Counters) [[unlikely]]
-    Counters->countShared(Base + I * sizeof(T), /*Write=*/true, CurThread);
-  if (Dev->raceDetection()) [[unlikely]] {
-    Dev->logAccess(*this, SharedBufferId, Base + I * sizeof(T), true);
-    Dev->logAccess(*this, SharedBufferId, Base + (I + 1) * sizeof(T), true);
-  }
+inline void BlockCtx::sharedStore2(size_t Base, size_t I, T V0, T V1) const {
+  if (Checks) [[unlikely]]
+    return checkedSharedStore2<T>(Base, I, V0, V1);
+  shared<T>(Base)[I] = V0;
+  shared<T>(Base)[I + 1] = V1;
+}
+
+template <typename T>
+T BlockCtx::checkedSharedLoad(size_t Base, size_t I) const {
+  detail::observeShared(*this, Base + I * sizeof(T), sizeof(T),
+                        /*Write=*/false, 1);
+  return shared<T>(Base)[I];
+}
+
+template <typename T>
+void BlockCtx::checkedSharedStore(size_t Base, size_t I, T V) const {
+  detail::observeShared(*this, Base + I * sizeof(T), sizeof(T),
+                        /*Write=*/true, 1);
+  shared<T>(Base)[I] = V;
+}
+
+template <typename T>
+void BlockCtx::checkedSharedLoad2(size_t Base, size_t I, T &V0,
+                                  T &V1) const {
+  detail::observeShared(*this, Base + I * sizeof(T), sizeof(T),
+                        /*Write=*/false, 2);
+  V0 = shared<T>(Base)[I];
+  V1 = shared<T>(Base)[I + 1];
+}
+
+template <typename T>
+void BlockCtx::checkedSharedStore2(size_t Base, size_t I, T V0, T V1) const {
+  detail::observeShared(*this, Base + I * sizeof(T), sizeof(T),
+                        /*Write=*/true, 2);
   shared<T>(Base)[I] = V0;
   shared<T>(Base)[I + 1] = V1;
 }
@@ -938,6 +1036,10 @@ template <typename... Phases>
 void launchPhases(GpuDevice &Dev, Dim3 Grid, Dim3 Block, size_t SharedBytes,
                   Phases &&...PhaseFns) {
   detail::runBlocks(Dev, Grid, Block, SharedBytes, [&](BlockCtx &B) {
+    // The block dims as locals: the thread loops' bounds stay in registers
+    // instead of being reloaded from the caller's frame after every call
+    // a phase might make.
+    const unsigned BX = Block.X, BY = Block.Y, BZ = Block.Z;
     unsigned PhaseIdx = 0;
     auto RunPhase = [&](auto &&Phase) {
       // Watchdog cancellation point: a phase boundary is the only place
@@ -948,10 +1050,10 @@ void launchPhases(GpuDevice &Dev, Dim3 Grid, Dim3 Block, size_t SharedBytes,
       if (B.Counters) [[unlikely]]
         B.Counters->beginPhase(PhaseIdx);
       ThreadCtx T;
-      for (T.Z = 0; T.Z != Block.Z; ++T.Z)
-        for (T.Y = 0; T.Y != Block.Y; ++T.Y)
-          for (T.X = 0; T.X != Block.X; ++T.X) {
-            B.CurThread = (T.Z * Block.Y + T.Y) * Block.X + T.X;
+      for (T.Z = 0; T.Z != BZ; ++T.Z)
+        for (T.Y = 0; T.Y != BY; ++T.Y)
+          for (T.X = 0; T.X != BX; ++T.X) {
+            B.CurThread = (T.Z * BY + T.Y) * BX + T.X;
             Phase(B, T);
           }
       ++PhaseIdx;

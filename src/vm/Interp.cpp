@@ -183,20 +183,18 @@ bool execCode(const Code &C, KernelEnv &E, sim::BlockCtx &B,
       const DevBuf &D = E.Bufs[I.Imm];
       const bool Write = I.K == Op::StoreGlobal;
       long long Idx = R[I.B].I;
-      // Replicates GpuDevice::Buffer<T>::load/store: count and log
-      // first, then bounds-check. A negative index wraps to a huge
-      // size_t exactly like the size_t parameter of Buffer::load would.
-      if (B.Counters) [[unlikely]]
-        B.Counters->countGlobal(Write);
-      if (B.Dev->raceDetection()) [[unlikely]]
-        B.Dev->logAccess(B, D.Id, static_cast<size_t>(Idx), Write);
-      if (Idx < 0 || static_cast<size_t>(Idx) >= D.Count) {
-        if (B.Dev->boundsChecking()) {
-          B.Dev->logBounds(D.Id, static_cast<size_t>(Idx), D.Count);
+      // The same seam as GpuDevice::Buffer<T>::load/store: count, log,
+      // bounds-check. A negative index wraps to a huge size_t exactly
+      // like the size_t parameter of Buffer::load would.
+      if (B.Checks) [[unlikely]] {
+        if (!sim::detail::observeGlobal(B, D.Id, static_cast<size_t>(Idx),
+                                        D.Count, Write, 1)) {
           if (!Write)
             R[I.A] = Value{}; // Buffer::load returns T{} on OOB
           break;
         }
+      }
+      if (Idx < 0 || static_cast<size_t>(Idx) >= D.Count) {
         // The generated C++ would fault undefined here; trap instead.
         return Trap("global buffer `" + E.K.Params[I.Imm].Name +
                     "` index " + std::to_string(Idx) +
@@ -215,21 +213,17 @@ bool execCode(const Code &C, KernelEnv &E, sim::BlockCtx &B,
       const DevBuf &D = E.Bufs[I.Imm];
       const bool Write = I.K == Op::StoreGlobal2;
       long long Idx = R[I.B].I;
-      // Replicates Buffer<T>::load2/store2: ONE counted transaction for
-      // the fused pair, both elements race-logged, bounds through Idx+1.
-      if (B.Counters) [[unlikely]]
-        B.Counters->countGlobal(Write);
-      if (B.Dev->raceDetection()) [[unlikely]] {
-        B.Dev->logAccess(B, D.Id, static_cast<size_t>(Idx), Write);
-        B.Dev->logAccess(B, D.Id, static_cast<size_t>(Idx) + 1, Write);
-      }
-      if (Idx < 0 || static_cast<size_t>(Idx) + 1 >= D.Count) {
-        if (B.Dev->boundsChecking()) {
-          B.Dev->logBounds(D.Id, static_cast<size_t>(Idx) + 1, D.Count);
+      // As Buffer<T>::load2/store2: ONE counted transaction for the fused
+      // pair, both elements race-logged, bounds through Idx+1.
+      if (B.Checks) [[unlikely]] {
+        if (!sim::detail::observeGlobal(B, D.Id, static_cast<size_t>(Idx),
+                                        D.Count, Write, 2)) {
           if (!Write)
             R[I.A] = R[I.A + 1] = Value{};
           break;
         }
+      }
+      if (Idx < 0 || static_cast<size_t>(Idx) + 1 >= D.Count) {
         return Trap("global buffer `" + E.K.Params[I.Imm].Name +
                     "` wide index " + std::to_string(Idx) +
                     " out of range [0, " + std::to_string(D.Count) + ")");
@@ -256,13 +250,11 @@ bool execCode(const Code &C, KernelEnv &E, sim::BlockCtx &B,
       long long Idx = R[I.B].I;
       size_t Base = static_cast<size_t>(I.Imm) + (Arena ? E.K.LocalsBase : 0);
       size_t Off = Base + static_cast<size_t>(Idx) * ES;
-      // sharedLoad/sharedStore count and log the byte offset; arena
-      // (spill) slots are per-thread-private and stay uncounted and
-      // unlogged, like BlockCtx::shared.
-      if (!Arena && B.Counters) [[unlikely]]
-        B.Counters->countShared(Off, Write, B.CurThread);
-      if (!Arena && B.Dev->raceDetection()) [[unlikely]]
-        B.Dev->logAccess(B, B.SharedBufferId, Off, Write);
+      // sharedLoad/sharedStore observe the byte offset; arena (spill)
+      // slots are per-thread-private and stay unobserved, like
+      // BlockCtx::shared.
+      if (!Arena && B.Checks) [[unlikely]]
+        sim::detail::observeShared(B, Off, ES, Write, 1);
       if (Idx < 0 || Off + ES > B.SharedBytes || Off < Base)
         return Trap(std::string(Arena ? "arena" : "shared") +
                     " access at byte " + std::to_string(Off) +
@@ -283,14 +275,10 @@ bool execCode(const Code &C, KernelEnv &E, sim::BlockCtx &B,
       long long Idx = R[I.B].I;
       size_t Base = static_cast<size_t>(I.Imm);
       size_t Off = Base + static_cast<size_t>(Idx) * ES;
-      // Replicates sharedLoad2/sharedStore2: ONE counted transaction at
-      // the first element's byte offset, both elements race-logged.
-      if (B.Counters) [[unlikely]]
-        B.Counters->countShared(Off, Write, B.CurThread);
-      if (B.Dev->raceDetection()) [[unlikely]] {
-        B.Dev->logAccess(B, B.SharedBufferId, Off, Write);
-        B.Dev->logAccess(B, B.SharedBufferId, Off + ES, Write);
-      }
+      // As sharedLoad2/sharedStore2: ONE counted transaction at the
+      // first element's byte offset, both elements race-logged.
+      if (B.Checks) [[unlikely]]
+        sim::detail::observeShared(B, Off, ES, Write, 2);
       if (Idx < 0 || Off + 2 * ES > B.SharedBytes || Off < Base)
         return Trap("shared wide access at byte " + std::to_string(Off) +
                     " outside the block arena of " +
@@ -842,7 +830,8 @@ void execHostStmts(HostEnv &E, const std::vector<HostStmt> &Stmts,
       const HostVal &Src = Frame[S.Src];
       if (Src.K != HostVal::Array || !Src.Arr)
         hostFail("alloc_copy source is not a host array");
-      DevBuf D = allocDev(E.Dev, Src.Arr->Elem, Src.Arr->Count);
+      DevBuf D = allocDev(E.Dev, Src.Arr->Elem, Src.Arr->Count,
+                          /*Zero=*/false);
       std::memcpy(D.Data, Src.Arr->Bytes.data(), Src.Arr->Bytes.size());
       Frame[S.Dst] = HostVal::dev(D);
       break;
@@ -972,11 +961,12 @@ void execHostFn(HostEnv &E, const HostFnIR &Fn, std::vector<HostVal> Args,
 // Public entry points
 //===----------------------------------------------------------------------===//
 
-DevBuf vm::allocDev(sim::GpuDevice &Dev, ScalarKind Elem, size_t Count) {
+DevBuf vm::allocDev(sim::GpuDevice &Dev, ScalarKind Elem, size_t Count,
+                   bool Zero) {
   DevBuf D;
   D.Elem = Elem;
   D.Count = Count;
-  D.Data = Dev.allocRaw(Count * scalarSize(Elem), D.Id);
+  D.Data = Dev.allocRaw(Count * scalarSize(Elem), D.Id, Zero);
   return D;
 }
 

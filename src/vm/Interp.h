@@ -46,9 +46,11 @@ struct DevBuf {
   unsigned Id = 0; ///< race/bounds logging id (allocRaw)
 };
 
-/// Allocates a zero-initialized device buffer (GpuDevice::alloc, minus
-/// the compile-time element type).
-DevBuf allocDev(sim::GpuDevice &Dev, ScalarKind Elem, size_t Count);
+/// Allocates a device buffer (GpuDevice::alloc, minus the compile-time
+/// element type), zero-initialized unless \p Zero is false — for
+/// alloc_copy, which overwrites every byte anyway.
+DevBuf allocDev(sim::GpuDevice &Dev, ScalarKind Elem, size_t Count,
+                bool Zero = true);
 
 /// A host-heap array (rt::HostBuffer minus the compile-time element
 /// type). Shared by pointer across host frames — parameter passing has

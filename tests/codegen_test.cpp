@@ -271,14 +271,18 @@ fn k<n: nat>(arr: &uniq gpu.global [f64; n])
       << S.renderDiagnostics();
 }
 
+/// Occurrences of \p Needle in \p Hay.
+size_t countOf(const std::string &Hay, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t At = Hay.find(Needle); At != std::string::npos;
+       At = Hay.find(Needle, At + 1))
+    ++N;
+  return N;
+}
+
 /// Counts the phase lambdas of a generated sim artifact.
 size_t phaseLambdaCount(const std::string &Sim) {
-  size_t Count = 0, Pos = 0;
-  while ((Pos = Sim.find("[&](BlockCtx", Pos)) != std::string::npos) {
-    ++Count;
-    ++Pos;
-  }
-  return Count;
+  return countOf(Sim, "[&](BlockCtx");
 }
 
 TEST(SimGen, SyncLoopsBecomePhaseLoops) {
@@ -325,6 +329,62 @@ fn k(arr: &uniq gpu.global [f64; 256])
   ASSERT_TRUE(G.Ok) << G.Error;
   EXPECT_NE(G.Sim.find("launchPhases"), std::string::npos) << G.Sim;
   EXPECT_EQ(G.Sim.find("PhaseProgram"), std::string::npos) << G.Sim;
+}
+
+TEST(SimGen, CoordinatesAreUnsignedOnlyWhereIndicesFit32Bits) {
+  // `_bx * 256 + _tx` peaks at nb * 256 - 1: with nb = 2^24 that is
+  // 2^32 - 1 and unsigned coordinates compute it exactly; one block more
+  // and it would wrap, so the body keeps long long coordinates.
+  const char *Src = R"(
+fn scale_vec<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
+-[grid: gpu.grid<X<nb>, X<256>>]-> () {
+  sched(X) block in grid {
+    sched(X) thread in block {
+      vec.group::<256>[[block]][[thread]] =
+        vec.group::<256>[[block]][[thread]] * 3.0
+    }
+  }
+}
+)";
+  Gen Fits = generate(Src, {{"nb", 1ll << 24}});
+  ASSERT_TRUE(Fits.Ok) << Fits.Error;
+  EXPECT_NE(Fits.Sim.find("const unsigned _tx = _t.X"), std::string::npos)
+      << Fits.Sim;
+  Gen Wraps = generate(Src, {{"nb", (1ll << 24) + 1}});
+  ASSERT_TRUE(Wraps.Ok) << Wraps.Error;
+  EXPECT_NE(Wraps.Sim.find("const long long _tx = _t.X"), std::string::npos)
+      << Wraps.Sim;
+  EXPECT_EQ(Wraps.Sim.find("const unsigned"), std::string::npos) << Wraps.Sim;
+}
+
+TEST(SimGen, CoordinateGuardsNarrowUnsignedRanges) {
+  // A split's high half reads `_tx - 1`, which is non-negative only
+  // because the guard `_tx < 1` failed there: the check narrows the
+  // coordinate per branch, so every phase keeps unsigned coordinates.
+  Gen G = generate(R"(
+fn shift(input: & gpu.global [f64; 256], out: &uniq gpu.global [f64; 256])
+-[grid: gpu.grid<X<1>, X<256>>]-> () {
+  sched(X) block in grid {
+    split(X) block at 1 {
+      low => {
+        sched(X) t in low {
+          out.split::<1>.fst[[t]] = input.split::<1>.fst[[t]]
+        }
+      },
+      high => {
+        sched(X) t in high {
+          out.split::<1>.snd[[t]] = input.split::<255>.fst[[t]]
+        }
+      }
+    }
+  }
+}
+)");
+  ASSERT_TRUE(G.Ok) << G.Error;
+  EXPECT_NE(G.Sim.find("_tx - 1"), std::string::npos) << G.Sim;
+  EXPECT_EQ(countOf(G.Sim, "const long long _tx"), 0u) << G.Sim;
+  EXPECT_EQ(countOf(G.Sim, "const unsigned _tx"), phaseLambdaCount(G.Sim))
+      << G.Sim;
 }
 
 TEST(SimGen, IterationDependentBoundsAreLegal) {

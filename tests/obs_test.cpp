@@ -19,9 +19,13 @@
 
 #include "gen_matmul_small.h"    // matmul          (nt=4)
 #include "gen_quickstart_host.h" // scale_vec + run (nb=8)
+#include "gen_reduce_small.h"    // reduce          (nb=8)
+#include "gen_scan_small.h"      // scan_blocks + add_sums (nb=8)
+#include "gen_transpose_small.h" // transpose       (n=128)
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -292,6 +296,92 @@ TEST(ObsCounters, GraphReplayMatchesSyncLaunch) {
   EXPECT_EQ(GraphDev.totalStats().Launches, 2u);
   ASSERT_EQ(GraphDev.launchLog().size(), 2u);
   EXPECT_EQ(GraphDev.launchLog()[0], GraphDev.launchLog()[1]);
+}
+
+//===----------------------------------------------------------------------===//
+// Observers never change results
+//===----------------------------------------------------------------------===//
+
+/// Which observer a run of the benchmark kernels turns on.
+enum class Observer { None, Counters, Races, Bounds };
+
+/// Runs the five benchmark kernels (scale_vec, reduce, transpose, scan +
+/// add_sums, matmul) on one fresh device with \p Obs on and returns every
+/// output element, in a fixed order.
+std::vector<double> runBenchmarkKernels(Observer Obs) {
+  sim::GpuDevice Dev;
+  Dev.setCounters(Obs == Observer::Counters);
+  Dev.setRaceDetection(Obs == Observer::Races);
+  Dev.setBoundsChecking(Obs == Observer::Bounds);
+  auto Filled = [&](size_t N, size_t Salt) {
+    auto Buf = Dev.alloc<double>(N);
+    for (size_t I = 0; I != N; ++I)
+      Buf.data()[I] = fillVal(I + Salt);
+    return Buf;
+  };
+  std::vector<double> Out;
+  auto Append = [&](const auto &Buf) {
+    Out.insert(Out.end(), Buf.data(), Buf.data() + Buf.size());
+  };
+  // The race log spans launches; check and clear it per kernel.
+  auto Checked = [&](const char *Kernel) {
+    EXPECT_TRUE(Dev.boundsViolations().empty()) << Kernel;
+    EXPECT_TRUE(Dev.findRaces().empty()) << Kernel;
+    EXPECT_EQ(Dev.accessLogSize() != 0, Obs == Observer::Races) << Kernel;
+    Dev.clearLogs();
+  };
+
+  auto Vec = Filled(8 * 256, 1);
+  gen::scale_vec(Dev, Vec);
+  Checked("scale_vec");
+  Append(Vec);
+
+  auto RedIn = Filled(8 * 256, 2);
+  auto RedOut = Dev.alloc<double>(8);
+  gen::reduce(Dev, RedIn, RedOut);
+  Checked("reduce");
+  Append(RedOut);
+
+  auto TrIn = Filled(128 * 128, 3);
+  auto TrOut = Dev.alloc<double>(128 * 128);
+  gen::transpose(Dev, TrIn, TrOut);
+  Checked("transpose");
+  Append(TrOut);
+
+  auto ScanIn = Filled(8 * 256, 4);
+  auto ScanOut = Dev.alloc<double>(8 * 256);
+  auto Sums = Dev.alloc<double>(8);
+  gen::scan_blocks(Dev, ScanIn, ScanOut, Sums);
+  Checked("scan_blocks");
+  auto Offsets = Filled(8, 5);
+  gen::add_sums(Dev, ScanOut, Offsets);
+  Checked("add_sums");
+  Append(ScanOut);
+  Append(Sums);
+
+  auto A = Filled(64 * 64, 6), B = Filled(64 * 64, 7);
+  auto C = Dev.alloc<double>(64 * 64);
+  gen::matmul(Dev, A, B, C);
+  Checked("matmul");
+  Append(C);
+
+  EXPECT_EQ(Dev.totalStats().Launches, Obs == Observer::Counters ? 6u : 0u);
+  return Out;
+}
+
+TEST(ObsChecks, BenchmarkKernelsBitIdenticalUnderEveryObserver) {
+  // Turning an observer on routes every access through the checked seam
+  // instead of the inline fast path; the outputs must not move by a bit.
+  const std::vector<double> Plain = runBenchmarkKernels(Observer::None);
+  for (Observer Obs :
+       {Observer::Counters, Observer::Races, Observer::Bounds}) {
+    const std::vector<double> Observed = runBenchmarkKernels(Obs);
+    ASSERT_EQ(Observed.size(), Plain.size());
+    EXPECT_EQ(std::memcmp(Observed.data(), Plain.data(),
+                          Plain.size() * sizeof(double)),
+              0)
+        << "observer " << static_cast<int>(Obs);
+  }
 }
 
 TEST(ObsCounters, CountersOffByDefaultAndCostNothingToSkip) {

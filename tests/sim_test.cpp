@@ -313,6 +313,91 @@ TEST(Sim, ProgramMatchesEquivalentUnrolledPhases) {
     EXPECT_EQ(BufA.data()[I], BufB.data()[I]);
 }
 
+TEST(Sim, CheckWordFollowsObserverTogglesBetweenLaunches) {
+  // Every launch snapshots the device's observers into each block's check
+  // word; toggling one between two launches must show at the next launch,
+  // in the word and in what the observer records.
+  GpuDevice Dev;
+  auto Buf = Dev.alloc<double>(4);
+  unsigned Seen = ~0u;
+  auto Launch = [&] {
+    launchPhases(Dev, Dim3{1}, Dim3{1}, 0, [&](BlockCtx &B, ThreadCtx &) {
+      Seen = B.Checks;
+      Buf.store(B, 0, Buf.load(B, 0) + 1.0);
+    });
+  };
+
+  Launch();
+  EXPECT_EQ(Seen, 0u);
+
+  Dev.setCounters(true);
+  Launch();
+  EXPECT_EQ(Seen, unsigned(CheckCounters));
+  EXPECT_EQ(Dev.lastLaunchStats().globalLoads(), 1u);
+  Dev.setCounters(false);
+  Launch();
+  EXPECT_EQ(Seen, 0u);
+  EXPECT_EQ(Dev.totalStats().Launches, 1u);
+
+  Dev.setRaceDetection(true);
+  Launch();
+  EXPECT_EQ(Seen, unsigned(CheckRaces));
+  EXPECT_EQ(Dev.accessLogSize(), 2u);
+  Dev.setRaceDetection(false);
+  Launch();
+  EXPECT_EQ(Seen, 0u);
+  EXPECT_EQ(Dev.accessLogSize(), 2u);
+
+  Dev.setBoundsChecking(true);
+  Launch();
+  EXPECT_EQ(Seen, unsigned(CheckBounds));
+  Dev.setCounters(true);
+  Dev.setRaceDetection(true);
+  Launch();
+  EXPECT_EQ(Seen, unsigned(CheckCounters | CheckRaces | CheckBounds));
+  Dev.setCounters(false);
+  Dev.setRaceDetection(false);
+  Dev.setBoundsChecking(false);
+  Launch();
+  EXPECT_EQ(Seen, 0u);
+
+  EXPECT_EQ(Buf.data()[0], 8.0); // every launch landed its access
+  EXPECT_TRUE(Dev.boundsViolations().empty());
+}
+
+TEST(Sim, OutOfRangeAccessIsLoggedAndNeverLanded) {
+  // Under bounds checking an out-of-range access goes through the checked
+  // seam: counted (it was issued), logged at its last element, and never
+  // landed — a wide access straddling the end writes neither element.
+  GpuDevice Dev;
+  Dev.setBoundsChecking(true);
+  Dev.setCounters(true);
+  auto Buf = Dev.alloc<double>(4);
+  Buf.data()[3] = 5.0;
+  double Loaded = -1.0, Wide0 = -1.0, Wide1 = -1.0;
+  launchPhases(Dev, Dim3{1}, Dim3{1}, 0, [&](BlockCtx &B, ThreadCtx &) {
+    Buf.store(B, 4, 1.0);
+    Buf.store2(B, 3, 2.0, 3.0);
+    Loaded = Buf.load(B, 4);
+    Buf.load2(B, 3, Wide0, Wide1);
+    Buf.store(B, 2, 9.0); // in range: lands
+  });
+
+  ASSERT_EQ(Dev.boundsViolations().size(), 4u);
+  for (const BoundsReport &R : Dev.boundsViolations()) {
+    EXPECT_EQ(R.Offset, 4u);
+    EXPECT_EQ(R.Size, 4u);
+    EXPECT_EQ(R.BufferId, Buf.id());
+  }
+  EXPECT_EQ(Buf.data()[3], 5.0);
+  EXPECT_EQ(Buf.data()[2], 9.0);
+  EXPECT_EQ(Loaded, 0.0);
+  EXPECT_EQ(Wide0, 0.0);
+  EXPECT_EQ(Wide1, 0.0);
+  EXPECT_EQ(Dev.lastLaunchStats().globalStores(), 3u);
+  EXPECT_EQ(Dev.lastLaunchStats().globalLoads(), 2u);
+}
+
 TEST(Sim, ClearLogsResets) {
   GpuDevice Dev;
   Dev.setRaceDetection(true);
