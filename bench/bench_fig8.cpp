@@ -48,7 +48,10 @@ using sim::GpuDevice;
 namespace {
 
 /// Paired, interleaved measurement: alternating A/B repetitions cancel
-/// machine drift between the two medians.
+/// machine drift between the two medians, and the order within a pair
+/// alternates too (A first on even repetitions, B first on odd ones), so
+/// neither side always runs on the caches and worker wake-up state the
+/// other left behind.
 struct Paired {
   double AMs = 0, BMs = 0;
 };
@@ -60,14 +63,20 @@ Paired medianPairMs(const std::function<void()> &A,
   TB.reserve(Reps);
   A();
   B(); // warm-up
-  for (int I = 0; I != Reps; ++I) {
+  auto TimeMs = [](const std::function<void()> &F) {
     auto T0 = std::chrono::steady_clock::now();
-    A();
+    F();
     auto T1 = std::chrono::steady_clock::now();
-    B();
-    auto T2 = std::chrono::steady_clock::now();
-    TA.push_back(std::chrono::duration<double, std::milli>(T1 - T0).count());
-    TB.push_back(std::chrono::duration<double, std::milli>(T2 - T1).count());
+    return std::chrono::duration<double, std::milli>(T1 - T0).count();
+  };
+  for (int I = 0; I != Reps; ++I) {
+    if (I % 2 == 0) {
+      TA.push_back(TimeMs(A));
+      TB.push_back(TimeMs(B));
+    } else {
+      TB.push_back(TimeMs(B));
+      TA.push_back(TimeMs(A));
+    }
   }
   std::sort(TA.begin(), TA.end());
   std::sort(TB.begin(), TB.end());

@@ -43,6 +43,20 @@ inline void transpose(GpuDevice &Dev, GpuDevice::Buffer<double> In,
       });
 }
 
+/// One halving step of the reduction: CUDA's
+/// `if (tid < S) sdata[tid] += sdata[tid + S];`, spelled as a split phase
+/// whose idle side does not run — the primitive the generated kernel's
+/// guards use too, so both sides of Figure 8 skip the same threads.
+template <unsigned S> auto reduceStep() {
+  return sim::split(
+      sim::ThreadX, S,
+      [](BlockCtx &B, ThreadCtx &T, auto) {
+        B.sharedStore<double>(0, T.X, B.sharedLoad<double>(0, T.X) +
+                                          B.sharedLoad<double>(0, T.X + S));
+      },
+      sim::idle);
+}
+
 /// Block-wide tree reduction with sequential addressing, 256 threads.
 inline void reduce(GpuDevice &Dev, GpuDevice::Buffer<double> In,
                    GpuDevice::Buffer<double> Out, unsigned NB) {
@@ -51,64 +65,32 @@ inline void reduce(GpuDevice &Dev, GpuDevice::Buffer<double> In,
       [=](BlockCtx &B, ThreadCtx &T) {
         B.sharedStore<double>(0, T.X, In.load(B, (size_t)B.X * 256 + T.X));
       },
-      [=](BlockCtx &B, ThreadCtx &T) {
-        if (T.X < 128)
-          B.sharedStore<double>(0, T.X, B.sharedLoad<double>(0, T.X) +
-                                            B.sharedLoad<double>(0, T.X + 128));
-      },
-      [=](BlockCtx &B, ThreadCtx &T) {
-        if (T.X < 64)
-          B.sharedStore<double>(0, T.X, B.sharedLoad<double>(0, T.X) +
-                                            B.sharedLoad<double>(0, T.X + 64));
-      },
-      [=](BlockCtx &B, ThreadCtx &T) {
-        if (T.X < 32)
-          B.sharedStore<double>(0, T.X, B.sharedLoad<double>(0, T.X) +
-                                            B.sharedLoad<double>(0, T.X + 32));
-      },
-      [=](BlockCtx &B, ThreadCtx &T) {
-        if (T.X < 16)
-          B.sharedStore<double>(0, T.X, B.sharedLoad<double>(0, T.X) +
-                                            B.sharedLoad<double>(0, T.X + 16));
-      },
-      [=](BlockCtx &B, ThreadCtx &T) {
-        if (T.X < 8)
-          B.sharedStore<double>(0, T.X, B.sharedLoad<double>(0, T.X) +
-                                            B.sharedLoad<double>(0, T.X + 8));
-      },
-      [=](BlockCtx &B, ThreadCtx &T) {
-        if (T.X < 4)
-          B.sharedStore<double>(0, T.X, B.sharedLoad<double>(0, T.X) +
-                                            B.sharedLoad<double>(0, T.X + 4));
-      },
-      [=](BlockCtx &B, ThreadCtx &T) {
-        if (T.X < 2)
-          B.sharedStore<double>(0, T.X, B.sharedLoad<double>(0, T.X) +
-                                            B.sharedLoad<double>(0, T.X + 2));
-      },
-      [=](BlockCtx &B, ThreadCtx &T) {
-        if (T.X < 1)
-          B.sharedStore<double>(0, T.X, B.sharedLoad<double>(0, T.X) +
-                                            B.sharedLoad<double>(0, T.X + 1));
-      },
-      [=](BlockCtx &B, ThreadCtx &T) {
-        if (T.X == 0)
-          Out.store(B, B.X, B.sharedLoad<double>(0, 0));
-      });
+      reduceStep<128>(), reduceStep<64>(), reduceStep<32>(),
+      reduceStep<16>(), reduceStep<8>(), reduceStep<4>(), reduceStep<2>(),
+      reduceStep<1>(),
+      sim::split(
+          sim::ThreadX, 1, // if (tid == 0)
+          [=](BlockCtx &B, ThreadCtx &, auto) {
+            Out.store(B, B.X, B.sharedLoad<double>(0, 0));
+          },
+          sim::idle));
 }
 
 /// Per-block inclusive Hillis-Steele scan (double buffered) plus totals.
 inline void scanBlocks(GpuDevice &Dev, GpuDevice::Buffer<double> In,
                        GpuDevice::Buffer<double> Out,
                        GpuDevice::Buffer<double> Sums, unsigned NB) {
-  // Shared layout: bufa at 0, bufb at 256 doubles.
+  // Shared layout: bufa at 0, bufb at 256 doubles. A stride step is
+  // CUDA's `if (tid >= stride) v += src[tid - stride];` as a split phase:
+  // threads [0, Stride) copy, threads [Stride, 256) add.
   auto Step = [](unsigned Stride, size_t SrcBase, size_t DstBase) {
-    return [=](BlockCtx &B, ThreadCtx &T) {
-      double V = B.sharedLoad<double>(SrcBase, T.X);
-      if (T.X >= Stride)
-        V += B.sharedLoad<double>(SrcBase, T.X - Stride);
-      B.sharedStore<double>(DstBase, T.X, V);
-    };
+    return sim::split(sim::ThreadX, Stride,
+                      [=](BlockCtx &B, ThreadCtx &T, auto Low) {
+                        double V = B.sharedLoad<double>(SrcBase, T.X);
+                        if constexpr (!Low)
+                          V += B.sharedLoad<double>(SrcBase, T.X - Stride);
+                        B.sharedStore<double>(DstBase, T.X, V);
+                      });
   };
   const size_t A = 0, Bb = 256 * sizeof(double);
   sim::launchPhases(

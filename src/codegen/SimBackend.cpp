@@ -334,28 +334,75 @@ public:
   GenResult emit(const Module &M, const BackendOptions &Opts) const override;
 };
 
-/// Emits one phase body — a typed kernel-IR statement vector printed with
-/// the simulator spelling — as a lambda argument/statement body. The
-/// coordinate locals are `unsigned` where UnsignedCoordCheck proves that
-/// exact for the kernel's \p Coords ranges (empty: extents unknown).
-void emitPhaseBody(std::ostringstream &OS, const std::vector<kir::Stmt> &Body,
-                   const std::vector<LoopBinding> &Enclosing,
-                   const CoordRanges &Coords, std::string &Err) {
+/// Prints \p Stmts at \p Indent levels into \p OS, keeping the first
+/// printing error in \p Err.
+void emitStmts(std::ostringstream &OS, const std::vector<kir::Stmt> &Stmts,
+               unsigned Indent, std::string &Err) {
+  std::string Text;
+  std::string PrintErr;
+  if (!kir::printStmts(Stmts, kir::SimStyle(), Indent, Text, PrintErr) &&
+      Err.empty())
+    Err = PrintErr;
+  OS << Text;
+}
+
+/// Emits one phase — a typed kernel-IR statement vector printed with the
+/// simulator spelling — as a launchPhases argument / straight() operand.
+/// The coordinate locals are `unsigned` where UnsignedCoordCheck proves
+/// that exact for the kernel's \p Coords ranges (empty: extents unknown).
+///
+/// A body kir::threadSplit matches — a guard on one thread coordinate —
+/// becomes a sim::split phase: the guard's bound is the split position,
+/// the branches are the two sides of one body lambda (told apart with
+/// `if constexpr`), and an empty else side is idle, so the simulator runs
+/// only the threads the guard admits. Otherwise the phase is one
+/// per-thread lambda.
+void emitPhase(std::ostringstream &OS, const std::vector<kir::Stmt> &Body,
+               const std::vector<LoopBinding> &Enclosing,
+               const CoordRanges &Coords, std::string &Err) {
   const char *CoordTy =
       !Coords.empty() && UnsignedCoordCheck(Coords).run(Body) ? "unsigned"
                                                               : "long long";
+  // Descend split positions are instantiated nats, so a matched guard's
+  // bound is a literal; any other bound keeps the guard.
+  kir::ThreadSplit Split;
+  const bool IsSplit = kir::threadSplit(Body, Split) &&
+                       Split.Guard->CondR.simplified().isLit();
+  const bool ElseIdle = IsSplit && Split.Guard->Else.empty();
+  if (IsSplit) {
+    static const char *const Dims[] = {"ThreadX", "ThreadY", "ThreadZ"};
+    OS << "descend::sim::split(descend::sim::" << Dims[Split.Dim] << ", "
+       << kir::natToCpp(Split.Guard->CondR, kir::SimStyle()) << ",\n"
+       << "    [&](BlockCtx &_b, ThreadCtx &_t, auto"
+       << (ElseIdle ? "" : " _then") << ") {\n";
+  } else {
+    OS << "[&](BlockCtx &_b, ThreadCtx &_t) {\n";
+  }
   OS << "      const " << CoordTy << " _bx = _b.X, _by = _b.Y, _bz = _b.Z;\n";
   OS << "      const " << CoordTy << " _tx = _t.X, _ty = _t.Y, _tz = _t.Z;\n";
   OS << "      const size_t _lin = _b.CurThread;\n";
   OS << "      (void)_bx; (void)_by; (void)_bz; (void)_tx; (void)_ty; "
         "(void)_tz; (void)_lin;\n";
   emitLoopVarDecls(OS, Enclosing, "      ");
-  std::string Text;
-  std::string PrintErr;
-  if (!kir::printStmts(Body, kir::SimStyle(), /*Indent=*/3, Text, PrintErr) &&
-      Err.empty())
-    Err = PrintErr;
-  OS << Text;
+  if (!IsSplit) {
+    emitStmts(OS, Body, /*Indent=*/3, Err);
+    OS << "    }";
+    return;
+  }
+  std::vector<kir::Stmt> Prefix; // LetIndex statements: name and value
+  for (size_t I = 0; I != Split.Prefix; ++I)
+    Prefix.push_back(kir::Stmt::letIndex(Body[I].Name, Body[I].Index));
+  emitStmts(OS, Prefix, /*Indent=*/3, Err);
+  if (ElseIdle) {
+    emitStmts(OS, Split.Guard->Then, /*Indent=*/3, Err);
+    OS << "    }, descend::sim::idle)";
+    return;
+  }
+  OS << "      if constexpr (_then) {\n";
+  emitStmts(OS, Split.Guard->Then, /*Indent=*/4, Err);
+  OS << "      } else {\n";
+  emitStmts(OS, Split.Guard->Else, /*Indent=*/4, Err);
+  OS << "      }\n    })";
 }
 
 /// Emits the nodes of a phase program as PhaseProgram builder calls.
@@ -365,9 +412,9 @@ void emitProgramNodes(std::ostringstream &OS,
                       const CoordRanges &Coords, std::string &Err) {
   for (const PhaseNode &N : Nodes) {
     if (N.K == PhaseNode::Straight) {
-      OS << "  _prog.straight([&](BlockCtx &_b, ThreadCtx &_t) {\n";
-      emitPhaseBody(OS, N.Body, Enclosing, Coords, Err);
-      OS << "    });\n";
+      OS << "  _prog.straight(";
+      emitPhase(OS, N.Body, Enclosing, Coords, Err);
+      OS << ");\n";
       continue;
     }
     OS << "  // loop " << N.Var << " in [" << N.Lo.simplified().str() << ".."
@@ -468,9 +515,8 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
          << ", " << GridOf(Fn.Exec.BlockDim) << ", " << ArenaBytes;
       std::vector<LoopBinding> None;
       for (const PhaseNode &N : L.Program.Nodes) {
-        OS << ",\n    [&](BlockCtx &_b, ThreadCtx &_t) {\n";
-        emitPhaseBody(OS, N.Body, None, Coords, PrintErr);
-        OS << "    }";
+        OS << ",\n    ";
+        emitPhase(OS, N.Body, None, Coords, PrintErr);
       }
       OS << ");\n}\n";
       if (!PrintErr.empty()) {

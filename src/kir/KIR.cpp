@@ -1021,3 +1021,37 @@ bool kir::verify(const std::vector<Stmt> &Stmts, const VerifyOptions &Opts,
                  std::string &Err) {
   return Verifier(Opts).run(Stmts, Err);
 }
+
+//===----------------------------------------------------------------------===//
+// Thread splits
+//===----------------------------------------------------------------------===//
+
+bool kir::threadSplit(const std::vector<Stmt> &PhaseBody, ThreadSplit &Out) {
+  if (PhaseBody.empty() || PhaseBody.back().K != StmtKind::If)
+    return false;
+  const size_t Prefix = PhaseBody.size() - 1;
+  std::set<std::string> PerThread = {"_tx", "_ty", "_tz", "_lin"};
+  for (size_t I = 0; I != Prefix; ++I) {
+    if (PhaseBody[I].K != StmtKind::LetIndex)
+      return false;
+    PerThread.insert(PhaseBody[I].Name);
+  }
+  const Stmt &Guard = PhaseBody.back();
+  const Nat L = Guard.CondL.simplified();
+  if (L.kind() != NatKind::Var)
+    return false;
+  static const char *const Coords[] = {"_tx", "_ty", "_tz"};
+  const auto *Coord = std::find(std::begin(Coords), std::end(Coords),
+                                L.varName());
+  if (Coord == std::end(Coords))
+    return false;
+  std::vector<std::string> BoundVars;
+  Guard.CondR.simplified().collectVars(BoundVars);
+  for (const std::string &V : BoundVars)
+    if (PerThread.count(V))
+      return false;
+  Out.Dim = static_cast<unsigned>(Coord - std::begin(Coords));
+  Out.Prefix = Prefix;
+  Out.Guard = &Guard;
+  return true;
+}

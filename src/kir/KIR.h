@@ -279,6 +279,26 @@ std::string dump(const std::vector<Stmt> &Stmts, unsigned Indent = 0);
 std::string dump(const Expr &E);
 
 //===----------------------------------------------------------------------===//
+// Thread splits
+//===----------------------------------------------------------------------===//
+
+/// A phase body that is a guard on one thread coordinate, which the
+/// simulator runs as two thread sub-ranges (sim::split) instead of
+/// testing every thread.
+struct ThreadSplit {
+  unsigned Dim = 0;       ///< the guarded coordinate: 0 `_tx`, 1 `_ty`, 2 `_tz`
+  size_t Prefix = 0;      ///< leading LetIndex statements, run on both sides
+  const Stmt *Guard = nullptr; ///< the If; Guard->CondR is the split position
+};
+
+/// Matches a phase body of the form `LetIndex* If` whose If compares
+/// exactly a thread coordinate (`_tx`/`_ty`/`_tz`) against a bound that
+/// reads no thread coordinate, no `_lin` and none of the prefix's
+/// LetIndex names — so the bound is one value per block and phase run.
+/// Returns false (leaving \p Out untouched) for any other body.
+bool threadSplit(const std::vector<Stmt> &PhaseBody, ThreadSplit &Out);
+
+//===----------------------------------------------------------------------===//
 // Structural verification
 //===----------------------------------------------------------------------===//
 

@@ -21,7 +21,11 @@
 //    scope), so every well-typed Descend program maps onto this
 //    representation; handwritten kernels are written in the same style
 //    through the variadic launchPhases, mirroring how __syncthreads()
-//    partitions a CUDA kernel.
+//    partitions a CUDA kernel. A phase guarded by one thread coordinate
+//    may be a *split phase* (split()): its then and else sides run over
+//    two thread sub-ranges in the guarded loop's order, so a masked-off
+//    thread costs nothing. Every phase runs through one thread loop,
+//    detail::runPhaseThreads, which the vm interpreter shares.
 //  * Shared memory is a per-block arena living across the block's phases;
 //    each executing thread caches one arena across launches.
 //  * Streams (class Stream) enqueue launches and host<->device copies
@@ -91,6 +95,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace descend::sim {
@@ -331,6 +336,56 @@ private:
 struct ThreadCtx {
   unsigned X = 0, Y = 0, Z = 0; // threadIdx
 };
+
+/// The thread dimension a split phase divides (threadIdx.x / .y / .z).
+template <unsigned D> struct ThreadDim {
+  static_assert(D < 3, "a block has three thread dimensions");
+};
+inline constexpr ThreadDim<0> ThreadX{};
+inline constexpr ThreadDim<1> ThreadY{};
+inline constexpr ThreadDim<2> ThreadZ{};
+
+/// The else side of a split whose threads do nothing (`idle => {}`).
+struct Idle {};
+inline constexpr Idle idle{};
+
+/// A phase built by split(); launchPhases and PhaseProgram::straight run
+/// it through detail::runPhaseThreads.
+template <unsigned D, typename AtT, typename BodyFn, bool Idle>
+struct SplitPhase {
+  static constexpr unsigned Dim = D;
+  static constexpr bool ElseIdle = Idle;
+  AtT At;
+  BodyFn Body;
+};
+template <typename T> struct IsSplitPhase : std::false_type {};
+template <unsigned D, typename AtT, typename BodyFn, bool Idle>
+struct IsSplitPhase<SplitPhase<D, AtT, BodyFn, Idle>> : std::true_type {};
+
+/// A phase guarded by a thread coordinate — CUDA's
+/// `if (threadIdx.d < At) { Then } else { Else }` — run as two thread
+/// sub-ranges instead of one loop that tests every thread: the threads
+/// whose coordinate d lies in [0, min(At, extent)) run
+/// Body(B, T, std::true_type{}), the others Body(B, T, std::false_type{}),
+/// or nothing at all when the else side is \p idle. The body tells the
+/// sides apart with `if constexpr`. Threads still run in CUDA's linear
+/// order with the same CurThread and CurPhase, so counters, the race log
+/// and bounds reports equal those of the guarded phase; only the masked-
+/// off threads' empty iterations are gone (real hardware still issues
+/// them, which is why the CUDA printer keeps the `if`).
+///
+/// \p At is an integer or a callable `long long(const BlockCtx &)`,
+/// evaluated once per block per phase run: it may read block coordinates
+/// and loop variables, never thread coordinates.
+template <unsigned D, typename AtT, typename BodyFn>
+SplitPhase<D, AtT, BodyFn, false> split(ThreadDim<D>, AtT At, BodyFn Body) {
+  return {std::move(At), std::move(Body)};
+}
+template <unsigned D, typename AtT, typename BodyFn>
+SplitPhase<D, AtT, BodyFn, true> split(ThreadDim<D>, AtT At, BodyFn Body,
+                                       Idle) {
+  return {std::move(At), std::move(Body)};
+}
 
 /// Simulated device: owns global-memory buffers, the persistent worker
 /// pool block execution runs on, and the observability state. Launches
@@ -708,6 +763,91 @@ void runBlocks(GpuDevice &Dev, Dim3 Grid, Dim3 Block, size_t SharedBytes,
 /// clause, same all-or-nothing discipline as FaultPlan::parse.
 bool parseWatchdogConfig(const char *Text, GpuDevice::WatchdogConfig &Out,
                          std::string *Err = nullptr);
+
+// The thread loop of a phase, written once: launchPhases,
+// PhaseProgram::straight and the vm's straight nodes all run their
+// phases through runPhaseThreads / runSplitThreads.
+
+/// Calls a phase body for thread \p T. A body returning bool (the vm's
+/// interpreter) stops the rest of the phase by returning false.
+template <typename Fn, typename... Side>
+[[gnu::always_inline]] inline bool callThread(Fn &F, BlockCtx &B,
+                                              ThreadCtx &T, Side... S) {
+  if constexpr (std::is_void_v<decltype(F(B, T, S...))>) {
+    F(B, T, S...);
+    return true;
+  } else {
+    return F(B, T, S...);
+  }
+}
+
+/// Runs \p F over the threads whose coordinates lie in [Lo, Hi) on every
+/// dimension, in CUDA's linear order. \p Block is taken by value so the
+/// loop bounds stay in registers across the calls a body makes.
+template <typename Fn, typename... Side>
+[[gnu::always_inline]] inline bool runThreadBox(BlockCtx &B, Dim3 Block,
+                                                Dim3 Lo, Dim3 Hi, Fn &F,
+                                                Side... S) {
+  ThreadCtx T;
+  for (T.Z = Lo.Z; T.Z != Hi.Z; ++T.Z)
+    for (T.Y = Lo.Y; T.Y != Hi.Y; ++T.Y)
+      for (T.X = Lo.X; T.X != Hi.X; ++T.X) {
+        B.CurThread = (T.Z * Block.Y + T.Y) * Block.X + T.X;
+        if (!callThread(F, B, T, S...))
+          return false;
+      }
+  return true;
+}
+
+/// Runs a split phase's body over its two sub-ranges of dimension \p Dim
+/// (0 = x, 1 = y, 2 = z): the then side over [0, min(At, extent)), the
+/// else side — unless \p ElseIdle — over the rest. The dimensions above
+/// \p Dim step one coordinate at a time, so both sides interleave in
+/// exactly the linear order the guarded phase's single loop had.
+template <bool ElseIdle, typename BodyFn>
+[[gnu::always_inline]] inline bool runSplitThreads(BlockCtx &B, Dim3 Block,
+                                                   unsigned Dim, long long At,
+                                                   BodyFn &Body) {
+  const unsigned Ext = Dim == 0 ? Block.X : Dim == 1 ? Block.Y : Block.Z;
+  const unsigned K = At <= 0                            ? 0u
+                     : At >= static_cast<long long>(Ext) ? Ext
+                                                         : unsigned(At);
+  const unsigned OuterZ = Dim < 2 ? Block.Z : 1;
+  const unsigned OuterY = Dim < 1 ? Block.Y : 1;
+  for (unsigned Z = 0; Z != OuterZ; ++Z)
+    for (unsigned Y = 0; Y != OuterY; ++Y) {
+      const Dim3 Lo{0, Dim < 1 ? Y : 0, Dim < 2 ? Z : 0};
+      const Dim3 Hi{Block.X, Dim < 1 ? Y + 1 : Block.Y,
+                    Dim < 2 ? Z + 1 : Block.Z};
+      Dim3 ThenHi = Hi, ElseLo = Lo;
+      (Dim == 0 ? ThenHi.X : Dim == 1 ? ThenHi.Y : ThenHi.Z) = K;
+      (Dim == 0 ? ElseLo.X : Dim == 1 ? ElseLo.Y : ElseLo.Z) = K;
+      if (!runThreadBox(B, Block, Lo, ThenHi, Body, std::true_type{}))
+        return false;
+      if constexpr (!ElseIdle)
+        if (!runThreadBox(B, Block, ElseLo, Hi, Body, std::false_type{}))
+          return false;
+    }
+  return true;
+}
+
+/// Runs one phase over the block's threads: a plain per-thread body over
+/// all of them, a SplitPhase over its sub-ranges.
+template <typename PhaseFn>
+[[gnu::always_inline]] inline void runPhaseThreads(BlockCtx &B, Dim3 Block,
+                                                   PhaseFn &Phase) {
+  using P = std::remove_const_t<PhaseFn>;
+  if constexpr (IsSplitPhase<P>::value) {
+    long long At;
+    if constexpr (std::is_integral_v<decltype(Phase.At)>)
+      At = static_cast<long long>(Phase.At);
+    else
+      At = Phase.At(static_cast<const BlockCtx &>(B));
+    runSplitThreads<P::ElseIdle>(B, Block, P::Dim, At, Phase.Body);
+  } else {
+    runThreadBox(B, Block, Dim3{0, 0, 0}, Block, Phase);
+  }
+}
 } // namespace detail
 
 /// A phase program: the host-side runtime mirror of the compiler's
@@ -737,20 +877,14 @@ public:
   };
 
   /// Appends a phase to the innermost open loop (or the top level).
-  /// \p Fn is a per-thread callable phase(BlockCtx&, ThreadCtx&); the
-  /// thread loop is wrapped around it *before* type erasure, so the
-  /// per-thread calls stay direct (inlinable) and only one erased call is
-  /// paid per phase per block — the launchPhases fast path, preserved.
+  /// \p Fn is a per-thread callable phase(BlockCtx&, ThreadCtx&) or a
+  /// split() phase; the thread loop is wrapped around it *before* type
+  /// erasure, so the per-thread calls stay direct (inlinable) and only one
+  /// erased call is paid per phase per block — the launchPhases fast
+  /// path, preserved.
   template <typename ThreadFn> PhaseProgram &straight(ThreadFn Fn) {
     return straightBlock([Fn = std::move(Fn)](BlockCtx &B) mutable {
-      const Dim3 Block = B.BlockDim;
-      ThreadCtx T;
-      for (T.Z = 0; T.Z != Block.Z; ++T.Z)
-        for (T.Y = 0; T.Y != Block.Y; ++T.Y)
-          for (T.X = 0; T.X != Block.X; ++T.X) {
-            B.CurThread = (T.Z * Block.Y + T.Y) * Block.X + T.X;
-            Fn(B, T);
-          }
+      detail::runPhaseThreads(B, B.BlockDim, Fn);
     });
   }
 
@@ -1026,20 +1160,16 @@ private:
 };
 
 /// Launches a straight-line phase-structured kernel: each Phase must be
-/// callable as phase(BlockCtx&, ThreadCtx&). Within a block, every phase
-/// runs over all threads before the next one starts (the __syncthreads()
-/// barrier). The phase calls are direct (no type erasure), which keeps
-/// handwritten baseline kernels and loop-free generated kernels on the
-/// fastest path; kernels with host-side loop structure go through
-/// PhaseProgram / launchProgram instead.
+/// callable as phase(BlockCtx&, ThreadCtx&) or be a split() phase. Within
+/// a block, every phase runs over its threads before the next one starts
+/// (the __syncthreads() barrier). The phase calls are direct (no type
+/// erasure), which keeps handwritten baseline kernels and loop-free
+/// generated kernels on the fastest path; kernels with host-side loop
+/// structure go through PhaseProgram / launchProgram instead.
 template <typename... Phases>
 void launchPhases(GpuDevice &Dev, Dim3 Grid, Dim3 Block, size_t SharedBytes,
                   Phases &&...PhaseFns) {
   detail::runBlocks(Dev, Grid, Block, SharedBytes, [&](BlockCtx &B) {
-    // The block dims as locals: the thread loops' bounds stay in registers
-    // instead of being reloaded from the caller's frame after every call
-    // a phase might make.
-    const unsigned BX = Block.X, BY = Block.Y, BZ = Block.Z;
     unsigned PhaseIdx = 0;
     auto RunPhase = [&](auto &&Phase) {
       // Watchdog cancellation point: a phase boundary is the only place
@@ -1049,13 +1179,7 @@ void launchPhases(GpuDevice &Dev, Dim3 Grid, Dim3 Block, size_t SharedBytes,
       B.CurPhase = PhaseIdx;
       if (B.Counters) [[unlikely]]
         B.Counters->beginPhase(PhaseIdx);
-      ThreadCtx T;
-      for (T.Z = 0; T.Z != BZ; ++T.Z)
-        for (T.Y = 0; T.Y != BY; ++T.Y)
-          for (T.X = 0; T.X != BX; ++T.X) {
-            B.CurThread = (T.Z * BY + T.Y) * BX + T.X;
-            Phase(B, T);
-          }
+      detail::runPhaseThreads(B, Block, Phase);
       ++PhaseIdx;
     };
     (RunPhase(PhaseFns), ...);

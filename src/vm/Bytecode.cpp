@@ -67,6 +67,16 @@ public:
     return finish(Out);
   }
 
+  /// One side of a thread split: the guard's LetIndex prefix (the first
+  /// \p Prefix statements of \p Body), then \p Branch.
+  bool runSide(const std::vector<kir::Stmt> &Body, size_t Prefix,
+               const std::vector<kir::Stmt> &Branch, Code &Out) {
+    for (size_t I = 0; I != Prefix; ++I)
+      if (!compileStmt(Body[I]))
+        return false;
+    return run(Branch, Out);
+  }
+
   bool runBound(const Nat &N, Code &Out) {
     int R = compileNat(N);
     if (R < 0)
@@ -731,10 +741,27 @@ bool compileNodes(const std::vector<codegen::PhaseNode> &Nodes,
     VmNode V;
     if (N.K == codegen::PhaseNode::Straight) {
       V.K = VmNode::Straight;
-      CodeBuilder B(Enclosing, ParamIdx, /*AllowCoords=*/true);
-      if (!B.run(N.Body, V.Body)) {
-        Err = B.error();
-        return false;
+      kir::ThreadSplit Split;
+      if (!kir::threadSplit(N.Body, Split)) {
+        CodeBuilder B(Enclosing, ParamIdx, /*AllowCoords=*/true);
+        if (!B.run(N.Body, V.Body)) {
+          Err = B.error();
+          return false;
+        }
+      } else {
+        // Each side and the bound is its own code object; the bound reads
+        // block coordinates and loop variables only (threadSplit).
+        V.SplitDim = static_cast<int>(Split.Dim);
+        CodeBuilder BT(Enclosing, ParamIdx, /*AllowCoords=*/true);
+        CodeBuilder BE(Enclosing, ParamIdx, /*AllowCoords=*/true);
+        CodeBuilder BA(Enclosing, ParamIdx, /*AllowCoords=*/true);
+        if (!BT.runSide(N.Body, Split.Prefix, Split.Guard->Then, V.Body) ||
+            (!Split.Guard->Else.empty() &&
+             !BE.runSide(N.Body, Split.Prefix, Split.Guard->Else, V.Else)) ||
+            !BA.runBound(Split.Guard->CondR, V.At)) {
+          Err = BT.error() + BE.error() + BA.error(); // only one is set
+          return false;
+        }
       }
       ++StraightPhases;
       Out.push_back(std::move(V));
@@ -1514,7 +1541,20 @@ void disasmNodes(std::ostringstream &OS, const std::vector<VmNode> &Nodes,
     if (N.K == VmNode::Straight) {
       OS << Ind << "phase #" << Phase++ << " (" << N.Body.Instrs.size()
          << " instrs, " << N.Body.NumRegs << " regs)\n";
-      disasmCode(OS, N.Body, (Ind + "  ").c_str());
+      if (N.SplitDim < 0) {
+        disasmCode(OS, N.Body, (Ind + "  ").c_str());
+        continue;
+      }
+      static const char *const Coords[] = {"_tx", "_ty", "_tz"};
+      const std::string Sub = Ind + "    ";
+      OS << Ind << "  split " << Coords[N.SplitDim] << " at:\n";
+      disasmCode(OS, N.At, Sub.c_str());
+      OS << Ind << "  then:\n";
+      disasmCode(OS, N.Body, Sub.c_str());
+      const bool Idle = N.Else.Instrs.empty();
+      OS << Ind << "  else:" << (Idle ? " idle" : "") << "\n";
+      if (!Idle)
+        disasmCode(OS, N.Else, Sub.c_str());
       continue;
     }
     OS << Ind << "loop slot " << N.Slot << "\n";

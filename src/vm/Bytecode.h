@@ -120,9 +120,18 @@ struct Code {
 /// The bytecode mirror of one PhaseNode: straight nodes carry a phase
 /// body, loop nodes carry a loopVar slot, two bound programs and their
 /// children.
+///
+/// A straight node whose body kir::threadSplit matches is a thread split,
+/// run like sim::split: Body is the then side (the guard's LetIndex
+/// prefix plus its then branch) over [0, min(At, extent)) of dimension
+/// SplitDim, Else the else side over the rest — or nothing when Else is
+/// empty (an idle else side: a compiled side always ends in Ret).
 struct VmNode {
   enum Kind { Straight, Loop } K = Straight;
-  Code Body;         // Straight
+  Code Body;         // Straight (a split's then side)
+  int SplitDim = -1; // Straight: 0/1/2 = split on _tx/_ty/_tz; -1 = none
+  Code At;           // split: RetVal program over the BlockCtx
+  Code Else;         // split: the else side; no instructions = idle
   unsigned Slot = 0; // Loop
   Code Lo, Hi;       // Loop: RetVal programs over the BlockCtx
   std::vector<VmNode> Children;

@@ -4,6 +4,7 @@
 
 #include "ast/Expr.h" // BinOpKind / UnOpKind (host expressions)
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -589,6 +590,18 @@ std::string validateNodes(const std::vector<VmNode> &Nodes,
       if (std::string E = validateCode(Nd.Body, K, "phase body");
           !E.empty())
         return E;
+      if (Nd.SplitDim < 0)
+        continue;
+      if (Nd.SplitDim > 2)
+        return "phase of kernel `" + K.Name + "` splits dimension " +
+               std::to_string(Nd.SplitDim) + " (max 2)";
+      if (std::string E = validateCode(Nd.At, K, "split position");
+          !E.empty())
+        return E;
+      if (!Nd.Else.Instrs.empty())
+        if (std::string E = validateCode(Nd.Else, K, "split else side");
+            !E.empty())
+          return E;
       continue;
     }
     if (Nd.Slot >= sim::BlockCtx::MaxLoopSlots)
@@ -621,22 +634,32 @@ void buildProgram(sim::PhaseProgram &Prog, const std::vector<VmNode> &Nodes,
                   KernelEnv &Env, sim::Dim3 Block) {
   for (const VmNode &N : Nodes) {
     if (N.K == VmNode::Straight) {
-      const Code &Body = N.Body;
       // NOTE: the node's std::function is shared across parallel block
       // executions — all per-invocation state (the register file, the
       // thread loop) must live inside the call, never in the capture.
-      Prog.straightBlock([&Env, &Body, Block](sim::BlockCtx &B) {
+      Prog.straightBlock([&Env, &N, Block](sim::BlockCtx &B) {
         if (Env.Trap.tripped())
           return;
-        std::vector<Value> R(Body.NumRegs);
-        sim::ThreadCtx T;
-        for (T.Z = 0; T.Z < Block.Z; ++T.Z)
-          for (T.Y = 0; T.Y < Block.Y; ++T.Y)
-            for (T.X = 0; T.X < Block.X; ++T.X) {
-              B.CurThread = (T.Z * Block.Y + T.Y) * Block.X + T.X;
-              if (!execCode(Body, Env, B, T, R, nullptr))
-                return;
-            }
+        std::vector<Value> R(
+            std::max({N.Body.NumRegs, N.Else.NumRegs, N.At.NumRegs}));
+        if (N.SplitDim < 0) {
+          auto Thread = [&](sim::BlockCtx &B, const sim::ThreadCtx &T) {
+            return execCode(N.Body, Env, B, T, R, nullptr);
+          };
+          sim::detail::runPhaseThreads(B, Block, Thread);
+          return;
+        }
+        auto Side = [&](sim::BlockCtx &B, const sim::ThreadCtx &T,
+                        auto Then) {
+          return execCode(Then ? N.Body : N.Else, Env, B, T, R, nullptr);
+        };
+        long long At = 0;
+        if (!execCode(N.At, Env, B, sim::ThreadCtx{}, R, &At))
+          return;
+        if (N.Else.Instrs.empty())
+          sim::detail::runSplitThreads<true>(B, Block, N.SplitDim, At, Side);
+        else
+          sim::detail::runSplitThreads<false>(B, Block, N.SplitDim, At, Side);
       });
       continue;
     }

@@ -4,6 +4,7 @@
 
 #include "codegen/PhaseIR.h"
 #include "driver/Pipeline.h"
+#include "kir/KIR.h"
 
 #include <gtest/gtest.h>
 
@@ -503,6 +504,52 @@ TEST(SimGen, MatmulPhaseCountIndependentOfNt) {
   EXPECT_EQ(phaseLambdaCount(Large), 4u) << Large;
   EXPECT_NE(Small.find("return 4; }"), std::string::npos) << Small;
   EXPECT_NE(Large.find("return 32; }"), std::string::npos) << Large;
+}
+
+TEST(SimGen, ReduceGuardsBecomeThreadSplits) {
+  // Every `split(X) block at k { active => ..., idle => {} }` of the
+  // reduction lowers to an `if (_tx < k)` phase with an empty else; the
+  // sim backend prints each as a sim::split over [0, k) with an idle
+  // else side, still one phase lambda per phase. CUDA keeps the guard.
+  Gen G = generate(readKernelFile("reduce.descend"), {{"nb", 8}});
+  ASSERT_TRUE(G.Ok) << G.Error;
+  EXPECT_EQ(countOf(G.Sim, "descend::sim::split(descend::sim::ThreadX, "),
+            9u)
+      << G.Sim;
+  EXPECT_EQ(countOf(G.Sim, "}, descend::sim::idle)"), 9u) << G.Sim;
+  for (const char *At : {"128,", "64,", "32,", "16,", "8,", "4,", "2,"})
+    EXPECT_NE(G.Sim.find(std::string("ThreadX, ") + At), std::string::npos)
+        << At;
+  EXPECT_EQ(countOf(G.Sim, "ThreadX, 1,"), 2u) << G.Sim;
+  EXPECT_EQ(G.Sim.find("if (_tx"), std::string::npos) << G.Sim;
+  EXPECT_EQ(phaseLambdaCount(G.Sim), 10u) << G.Sim;
+  EXPECT_NE(G.Cuda.find("if (threadIdx.x < 128) {"), std::string::npos)
+      << G.Cuda;
+}
+
+TEST(SimGen, OtherGuardsStayGuarded) {
+  // scan_blocks: the eight stride steps are two-sided splits (`if
+  // constexpr` picks the side); its last phase stores and then guards,
+  // so it is not a sole If and keeps `if (_tx < 1)`. add_sums guards a
+  // block coordinate, which no thread range can express.
+  Gen G = generate(readKernelFile("scan.descend"), {{"nb", 8}});
+  ASSERT_TRUE(G.Ok) << G.Error;
+  EXPECT_EQ(countOf(G.Sim, "descend::sim::split("), 8u) << G.Sim;
+  EXPECT_EQ(countOf(G.Sim, "descend::sim::idle"), 0u) << G.Sim;
+  EXPECT_EQ(countOf(G.Sim, "if constexpr (_then) {"), 8u) << G.Sim;
+  EXPECT_EQ(countOf(G.Sim, "if (_tx < 1) {"), 1u) << G.Sim;
+  EXPECT_EQ(countOf(G.Sim, "if (_bx < 1) {"), 1u) << G.Sim;
+  EXPECT_EQ(phaseLambdaCount(G.Sim), 11u) << G.Sim;
+
+  // A bound reading a thread coordinate cannot come from Descend source
+  // (split positions are nats over block-level names), so it is checked
+  // on the IR the backend consults.
+  kir::Stmt Guard = kir::Stmt::ifLt(Nat::var("_tx"), Nat::var("_ty"));
+  Guard.Then.push_back(kir::Stmt::letIndex("i", Nat::lit(0)));
+  std::vector<kir::Stmt> Body;
+  Body.push_back(std::move(Guard));
+  kir::ThreadSplit Split;
+  EXPECT_FALSE(kir::threadSplit(Body, Split));
 }
 
 TEST(PhaseIR, DumpPrintsLoopBounds) {

@@ -616,4 +616,72 @@ TEST(KirExpr, CloneIsDeep) {
   EXPECT_EQ(C->Rhs->Ref.Name, "arr");
 }
 
+//===----------------------------------------------------------------------===//
+// Thread splits
+//===----------------------------------------------------------------------===//
+
+/// A phase body: \p Prefix LetIndex statements, then `if (L < R)` with a
+/// store in its then branch.
+std::vector<Stmt> guardedBody(Nat L, Nat R,
+                              std::vector<std::pair<std::string, Nat>> Prefix =
+                                  {}) {
+  std::vector<Stmt> S;
+  for (auto &[Name, Value] : Prefix)
+    S.push_back(Stmt::letIndex(Name, Value));
+  Stmt If = Stmt::ifLt(std::move(L), std::move(R));
+  If.Then.push_back(
+      Stmt::store(sharedBuf("tmp"), tid(), Expr::floatLit(1.0)));
+  S.push_back(std::move(If));
+  return S;
+}
+
+TEST(KirThreadSplit, MatchesThreadCoordinateGuards) {
+  ThreadSplit Split;
+  std::vector<Stmt> Lit = guardedBody(tid(), Nat::lit(128));
+  ASSERT_TRUE(threadSplit(Lit, Split));
+  EXPECT_EQ(Split.Dim, 0u);
+  EXPECT_EQ(Split.Prefix, 0u);
+  EXPECT_EQ(Split.Guard, &Lit.back());
+
+  // A bound over block coordinates and loop variables, behind pure
+  // LetIndex statements, on the y and z coordinates.
+  std::vector<Stmt> Y = guardedBody(
+      Nat::var("_ty"), Nat::var("_bx") * Nat::lit(2) + Nat::var("s"),
+      {{"_i0", tid() * Nat::lit(2)}, {"_i1", Nat::var("_lin")}});
+  ASSERT_TRUE(threadSplit(Y, Split));
+  EXPECT_EQ(Split.Dim, 1u);
+  EXPECT_EQ(Split.Prefix, 2u);
+  EXPECT_EQ(Split.Guard, &Y.back());
+  std::vector<Stmt> Z = guardedBody(Nat::var("_tz") + Nat::lit(0),
+                                    Nat::lit(1));
+  ASSERT_TRUE(threadSplit(Z, Split));
+  EXPECT_EQ(Split.Dim, 2u);
+}
+
+TEST(KirThreadSplit, KeepsEveryOtherShapeGuarded) {
+  ThreadSplit Split;
+  // Bounds that vary per thread: a thread coordinate, `_lin`, or a
+  // per-thread LetIndex of the prefix.
+  EXPECT_FALSE(threadSplit(guardedBody(tid(), Nat::var("_ty")), Split));
+  EXPECT_FALSE(
+      threadSplit(guardedBody(tid(), Nat::var("_lin") + Nat::lit(1)), Split));
+  EXPECT_FALSE(threadSplit(
+      guardedBody(tid(), Nat::var("_i0"), {{"_i0", Nat::lit(4)}}), Split));
+  // Guards on something other than exactly a thread coordinate.
+  EXPECT_FALSE(threadSplit(guardedBody(Nat::var("_bx"), Nat::lit(1)), Split));
+  EXPECT_FALSE(threadSplit(guardedBody(Nat::lit(5), tid()), Split));
+  EXPECT_FALSE(
+      threadSplit(guardedBody(tid() + Nat::lit(1), Nat::lit(8)), Split));
+  // Bodies that are not a sole If behind LetIndex statements.
+  std::vector<Stmt> After = guardedBody(tid(), Nat::lit(8));
+  After.push_back(Stmt::store(sharedBuf("tmp"), tid(), Expr::floatLit(2.0)));
+  EXPECT_FALSE(threadSplit(After, Split));
+  std::vector<Stmt> Before;
+  Before.push_back(Stmt::store(sharedBuf("tmp"), tid(), Expr::floatLit(2.0)));
+  for (Stmt &S : guardedBody(tid(), Nat::lit(8)))
+    Before.push_back(std::move(S));
+  EXPECT_FALSE(threadSplit(Before, Split));
+  EXPECT_FALSE(threadSplit({}, Split));
+}
+
 } // namespace

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 using namespace descend::sim;
 
@@ -407,6 +411,227 @@ TEST(Sim, ClearLogsResets) {
   EXPECT_FALSE(Dev.findRaces().empty());
   Dev.clearLogs();
   EXPECT_TRUE(Dev.findRaces().empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Thread splits: a split() phase must be observably the guarded phase
+//===----------------------------------------------------------------------===//
+
+/// Everything a launch exposes, with counters, race detection and bounds
+/// checking all on (race detection also makes execution sequential, so
+/// the visit order below is deterministic).
+struct Observed {
+  std::vector<double> Out;
+  /// (block, CurThread, CurPhase, T.X, T.Y, T.Z, side) per body run.
+  std::vector<std::tuple<unsigned, unsigned, unsigned, unsigned, unsigned,
+                         unsigned, bool>>
+      Visits;
+  LaunchStats Stats;
+  std::vector<std::string> Races, Bounds;
+};
+
+constexpr size_t SplitOutSize = 160;
+
+/// Runs \p Launch(Dev, Out, Visits) on a fresh fully observed device.
+template <typename LaunchFn> Observed observe(LaunchFn Launch) {
+  GpuDevice Dev;
+  Dev.setCounters(true);
+  Dev.setRaceDetection(true);
+  Dev.setBoundsChecking(true);
+  auto Out = Dev.alloc<double>(SplitOutSize);
+  Observed O;
+  Launch(Dev, Out, O.Visits);
+  O.Out.assign(Out.data(), Out.data() + Out.size());
+  O.Stats = Dev.lastLaunchStats();
+  for (const RaceReport &R : Dev.findRaces())
+    O.Races.push_back(R.str());
+  for (const BoundsReport &R : Dev.boundsViolations())
+    O.Bounds.push_back(R.str());
+  return O;
+}
+
+void expectSameObservations(const Observed &Guarded, const Observed &Split) {
+  EXPECT_EQ(Guarded.Out, Split.Out);
+  EXPECT_EQ(Guarded.Visits, Split.Visits);
+  EXPECT_TRUE(Guarded.Stats == Split.Stats)
+      << Guarded.Stats.str() << "\nvs\n"
+      << Split.Stats.str();
+  EXPECT_EQ(Guarded.Stats.sharedTransactions(),
+            Split.Stats.sharedTransactions());
+  EXPECT_EQ(Guarded.Stats.bankConflicts(), Split.Stats.bankConflicts());
+  EXPECT_EQ(Guarded.Races, Split.Races);
+  EXPECT_EQ(Guarded.Bounds, Split.Bounds);
+}
+
+using Visit = std::tuple<unsigned, unsigned, unsigned, unsigned, unsigned,
+                         unsigned, bool>;
+
+unsigned coordOf(const ThreadCtx &T, unsigned Dim) {
+  return Dim == 0 ? T.X : Dim == 1 ? T.Y : T.Z;
+}
+
+/// The two sides of the test phase. The then side makes neighbouring
+/// threads write one element (a same-phase race) and reads shared memory
+/// with a stride (bank conflicts); the else side writes past the end of
+/// the buffer for high threads of high blocks (bounds reports) and
+/// overlaps the next block's then writes (cross-block races).
+struct SplitSides {
+  GpuDevice::Buffer<double> Out;
+  std::vector<Visit> *Visits;
+
+  void record(BlockCtx &B, ThreadCtx &T, bool Then) const {
+    Visits->emplace_back(B.linear(), B.CurThread, B.CurPhase, T.X, T.Y, T.Z,
+                         Then);
+  }
+  void then(BlockCtx &B, ThreadCtx &T) const {
+    record(B, T, true);
+    const size_t Lin = B.CurThread;
+    Out.store(B, B.linear() * 64 + Lin / 2,
+              B.sharedLoad<double>(0, (Lin * 2) % 64) + B.loopVar(0));
+  }
+  void otherwise(BlockCtx &B, ThreadCtx &T) const {
+    record(B, T, false);
+    const size_t Lin = B.CurThread;
+    Out.store(B, B.linear() * 64 + 40 + Lin, B.sharedLoad<double>(0, 63 - Lin % 64));
+  }
+};
+
+/// Fills the block's 64-element shared array (a plain phase).
+auto fillShared() {
+  return [](BlockCtx &B, ThreadCtx &) {
+    if (B.CurThread < 64)
+      B.sharedStore<double>(0, B.CurThread, B.CurThread * 0.5 + B.X);
+  };
+}
+
+/// One launch of fillShared + the test phase on dimension \p D at \p At,
+/// guarded (`if (coord < At)`) or as split(); with \p Idle the else side
+/// does nothing.
+template <unsigned D, typename AtFn>
+Observed runSplitKernel(Dim3 Grid, Dim3 Block, AtFn At, bool Split,
+                        bool Idle) {
+  return observe([&](GpuDevice &Dev, GpuDevice::Buffer<double> Out,
+                     std::vector<Visit> &Visits) {
+    const SplitSides S{Out, &Visits};
+    auto Guarded = [&](BlockCtx &B, ThreadCtx &T) {
+      if (coordOf(T, D) < At(static_cast<const BlockCtx &>(B)))
+        S.then(B, T);
+      else if (!Idle)
+        S.otherwise(B, T);
+    };
+    auto Body = [&](BlockCtx &B, ThreadCtx &T, auto Then) {
+      if constexpr (Then)
+        S.then(B, T);
+      else
+        S.otherwise(B, T);
+    };
+    if (!Split)
+      launchPhases(Dev, Grid, Block, 64 * sizeof(double), fillShared(),
+                   Guarded);
+    else if (Idle)
+      launchPhases(Dev, Grid, Block, 64 * sizeof(double), fillShared(),
+                   split(ThreadDim<D>{}, At, Body, idle));
+    else
+      launchPhases(Dev, Grid, Block, 64 * sizeof(double), fillShared(),
+                   split(ThreadDim<D>{}, At, Body));
+  });
+}
+
+TEST(SimSplit, MatchesGuardedPhaseAtEveryPosition) {
+  // At = 0 (no then thread), a middle position, At = extent (no else
+  // thread) and At > extent (clamped), each with a two-sided and an idle
+  // else; plus a block-dependent position read from the BlockCtx.
+  for (long long AtV : {0ll, 20ll, 64ll, 100ll, -3ll})
+    for (bool Idle : {false, true}) {
+      SCOPED_TRACE("At=" + std::to_string(AtV) + " idle=" +
+                   std::to_string(Idle));
+      auto At = [AtV](const BlockCtx &) { return AtV; };
+      Observed G = runSplitKernel<0>(Dim3{3}, Dim3{64}, At, false, Idle);
+      Observed S = runSplitKernel<0>(Dim3{3}, Dim3{64}, At, true, Idle);
+      expectSameObservations(G, S);
+      if (AtV == 20 && !Idle) {
+        EXPECT_FALSE(G.Races.empty());  // the comparison saw races...
+        EXPECT_FALSE(G.Bounds.empty()); // ...and bounds reports
+      }
+    }
+  auto PerBlock = [](const BlockCtx &B) -> long long { return 10 + 7 * B.X; };
+  expectSameObservations(
+      runSplitKernel<0>(Dim3{3}, Dim3{64}, PerBlock, false, false),
+      runSplitKernel<0>(Dim3{3}, Dim3{64}, PerBlock, true, false));
+}
+
+TEST(SimSplit, IdleSideRunsNoThreads) {
+  auto At = [](const BlockCtx &) { return 5ll; };
+  Observed S = runSplitKernel<0>(Dim3{2}, Dim3{64}, At, true, true);
+  ASSERT_EQ(S.Visits.size(), 2u * 5u);
+  for (const Visit &V : S.Visits)
+    EXPECT_TRUE(std::get<6>(V));
+}
+
+TEST(SimSplit, IntegerPositionEqualsCallable) {
+  Observed Lit = observe([](GpuDevice &Dev, GpuDevice::Buffer<double> Out,
+                            std::vector<Visit> &Visits) {
+    const SplitSides S{Out, &Visits};
+    launchPhases(Dev, Dim3{2}, Dim3{64}, 64 * sizeof(double), fillShared(),
+                 split(
+                     ThreadX, 17,
+                     [&](BlockCtx &B, ThreadCtx &T, auto) { S.then(B, T); },
+                     idle));
+  });
+  auto At = [](const BlockCtx &) { return 17ll; };
+  expectSameObservations(
+      runSplitKernel<0>(Dim3{2}, Dim3{64}, At, false, true), Lit);
+}
+
+TEST(SimSplit, SplitOnYOfTwoDimensionalBlock) {
+  // A 16x4 block split on Y: rows [0, At) run the then side, the rest the
+  // else side, interleaved per z exactly like the guarded loop.
+  for (long long AtV : {0ll, 1ll, 3ll, 4ll, 9ll}) {
+    SCOPED_TRACE("At=" + std::to_string(AtV));
+    auto At = [AtV](const BlockCtx &) { return AtV; };
+    expectSameObservations(
+        runSplitKernel<1>(Dim3{2}, Dim3{16, 4}, At, false, false),
+        runSplitKernel<1>(Dim3{2}, Dim3{16, 4}, At, true, false));
+  }
+  // An X split of a 3-D block and a Z split interleave per row / per
+  // plane the same way.
+  auto At = [](const BlockCtx &B) -> long long { return 3 + B.X; };
+  expectSameObservations(
+      runSplitKernel<0>(Dim3{2}, Dim3{8, 4, 2}, At, false, false),
+      runSplitKernel<0>(Dim3{2}, Dim3{8, 4, 2}, At, true, false));
+  auto AtZ = [](const BlockCtx &) -> long long { return 1; };
+  expectSameObservations(
+      runSplitKernel<2>(Dim3{2}, Dim3{8, 4, 2}, AtZ, false, false),
+      runSplitKernel<2>(Dim3{2}, Dim3{8, 4, 2}, AtZ, true, false));
+}
+
+TEST(SimSplit, ProgramLoopSplitReadsLoopVar) {
+  // A halving loop like the reduction's: `if (_tx < 32 >> s)` inside a
+  // PhaseProgram loop, the split position read from loopVar(0).
+  auto At = [](const BlockCtx &B) -> long long { return 32 >> B.loopVar(0); };
+  auto Run = [&](bool Split) {
+    return observe([&](GpuDevice &Dev, GpuDevice::Buffer<double> Out,
+                       std::vector<Visit> &Visits) {
+      const SplitSides S{Out, &Visits};
+      PhaseProgram Prog;
+      Prog.straight(fillShared());
+      Prog.loopBegin(0, 0, 6);
+      if (Split)
+        Prog.straight(split(
+            ThreadX, At, [&](BlockCtx &B, ThreadCtx &T, auto) { S.then(B, T); },
+            idle));
+      else
+        Prog.straight([&](BlockCtx &B, ThreadCtx &T) {
+          if (T.X < At(B))
+            S.then(B, T);
+        });
+      Prog.loopEnd();
+      launchProgram(Dev, Dim3{2}, Dim3{64}, 64 * sizeof(double), Prog);
+    });
+  };
+  Observed G = Run(false), S = Run(true);
+  expectSameObservations(G, S);
+  EXPECT_EQ(S.Visits.size(), 2u * (32 + 16 + 8 + 4 + 2 + 1));
 }
 
 } // namespace

@@ -168,6 +168,89 @@ TEST(VmKernel, ScanBothKernelsBitIdenticalToGeneratedSim) {
   EXPECT_EQ(0, std::memcmp(Out.data(), VOut.Data, N * sizeof(double)));
 }
 
+/// Straight nodes of \p K split on `_tx`, counting the idle-else ones
+/// into \p Idle.
+unsigned splitNodes(const std::vector<vm::VmNode> &Nodes, unsigned &Idle) {
+  unsigned N = 0;
+  for (const vm::VmNode &Nd : Nodes) {
+    if (Nd.K == vm::VmNode::Loop) {
+      N += splitNodes(Nd.Children, Idle);
+      continue;
+    }
+    if (Nd.SplitDim == 0) {
+      ++N;
+      Idle += Nd.Else.Instrs.empty();
+    }
+  }
+  return N;
+}
+
+TEST(VmKernel, SplitReduceAndScanMatchGeneratedBitsAndCounters) {
+  // The vm runs the reduction's nine guarded phases and the scan's eight
+  // stride steps as thread splits, like the generated headers: same
+  // output bits, same counters phase by phase, same race log, with every
+  // observer on.
+  const int NB = 8, N = NB * 256;
+  auto PR = compileVm(DESCEND_KERNEL_DIR "/reduce.descend", {{"nb", NB}});
+  auto PS = compileVm(DESCEND_KERNEL_DIR "/scan.descend", {{"nb", NB}});
+  ASSERT_TRUE(PR && PS);
+  const vm::VmKernel *KRed = PR->findKernel("reduce");
+  const vm::VmKernel *KScan = PS->findKernel("scan_blocks");
+  const vm::VmKernel *KAdd = PS->findKernel("add_sums");
+  ASSERT_TRUE(KRed && KScan && KAdd);
+  unsigned Idle = 0;
+  EXPECT_EQ(splitNodes(KRed->Nodes, Idle), 9u);
+  EXPECT_EQ(Idle, 9u);
+  Idle = 0;
+  EXPECT_EQ(splitNodes(KScan->Nodes, Idle), 8u);
+  EXPECT_EQ(Idle, 0u);
+  EXPECT_EQ(splitNodes(KAdd->Nodes, Idle), 0u);
+
+  sim::GpuDevice DG, DV;
+  for (sim::GpuDevice *D : {&DG, &DV}) {
+    D->setCounters(true);
+    D->setRaceDetection(true);
+    D->setBoundsChecking(true);
+  }
+  auto Compare = [&](const char *Kernel) {
+    SCOPED_TRACE(Kernel);
+    EXPECT_EQ(DG.lastLaunchStats(), DV.lastLaunchStats());
+    EXPECT_EQ(DG.accessLogSize(), DV.accessLogSize());
+    EXPECT_TRUE(DG.findRaces().empty());
+    EXPECT_TRUE(DV.findRaces().empty());
+    EXPECT_TRUE(DV.boundsViolations().empty());
+    DG.clearLogs();
+    DV.clearLogs();
+  };
+
+  auto In = DG.alloc<double>(N);
+  auto RedOut = DG.alloc<double>(NB);
+  auto ScanOut = DG.alloc<double>(N);
+  auto Sums = DG.alloc<double>(NB);
+  vm::DevBuf VIn = vm::allocDev(DV, ScalarKind::F64, N);
+  vm::DevBuf VRedOut = vm::allocDev(DV, ScalarKind::F64, NB);
+  vm::DevBuf VScanOut = vm::allocDev(DV, ScalarKind::F64, N);
+  vm::DevBuf VSums = vm::allocDev(DV, ScalarKind::F64, NB);
+  for (int I = 0; I != N; ++I)
+    In.data()[I] = devData(VIn)[I] = fillVal(I);
+
+  descend::gen::reduce(DG, In, RedOut);
+  ASSERT_TRUE(vm::launchKernel(DV, *KRed, {VIn, VRedOut}).Ok);
+  Compare("reduce");
+  EXPECT_EQ(0, std::memcmp(RedOut.data(), VRedOut.Data, NB * sizeof(double)));
+
+  descend::gen::scan_blocks(DG, In, ScanOut, Sums);
+  ASSERT_TRUE(vm::launchKernel(DV, *KScan, {VIn, VScanOut, VSums}).Ok);
+  Compare("scan_blocks");
+  EXPECT_EQ(0, std::memcmp(ScanOut.data(), VScanOut.Data, N * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(Sums.data(), VSums.Data, NB * sizeof(double)));
+
+  descend::gen::add_sums(DG, ScanOut, Sums);
+  ASSERT_TRUE(vm::launchKernel(DV, *KAdd, {VScanOut, VSums}).Ok);
+  Compare("add_sums");
+  EXPECT_EQ(0, std::memcmp(ScanOut.data(), VScanOut.Data, N * sizeof(double)));
+}
+
 TEST(VmKernel, MatmulBitIdenticalToGeneratedSim) {
   const int NT = 4, N = NT * 16;
   auto P = compileVm(DESCEND_KERNEL_DIR "/matmul.descend", {{"nt", NT}});
@@ -310,6 +393,25 @@ TEST(VmValidate, RejectsBitFlippedOpcode) {
   vm::RunStatus V = vm::validateKernel(K);
   EXPECT_FALSE(V.Ok);
   EXPECT_NE(V.Error.find("opcode"), std::string::npos) << V.Error;
+}
+
+TEST(VmValidate, RejectsMalformedThreadSplits) {
+  // A split on a fourth thread dimension, and a split position program
+  // with an out-of-range register: both rejected before anything runs.
+  auto BadDim = corruptKernel({instr(vm::Op::Ret)}, 1);
+  BadDim.Nodes[0].SplitDim = 3;
+  vm::RunStatus V1 = vm::validateKernel(BadDim);
+  EXPECT_FALSE(V1.Ok);
+  EXPECT_NE(V1.Error.find("splits dimension 3"), std::string::npos)
+      << V1.Error;
+
+  auto BadAt = corruptKernel({instr(vm::Op::Ret)}, 1);
+  BadAt.Nodes[0].SplitDim = 0;
+  BadAt.Nodes[0].At.Instrs = {instr(vm::Op::RetVal, /*A=*/4)};
+  BadAt.Nodes[0].At.NumRegs = 1;
+  vm::RunStatus V2 = vm::validateKernel(BadAt);
+  EXPECT_FALSE(V2.Ok);
+  EXPECT_NE(V2.Error.find("split position"), std::string::npos) << V2.Error;
 }
 
 TEST(VmValidate, RejectsTruncatedArtifactShapes) {
