@@ -79,14 +79,20 @@ GenResult CudaBackend::emit(const Module &M, const BackendOptions &Opts) const {
     OS << BodyText << "}\n\n";
   }
 
-  // Host functions (Sections 3.4/3.5): the hostgen subsystem turns the
-  // statically checked transfers and launches into CUDA runtime API code.
+  // Host functions (Sections 3.4/3.5): hostir lowers each one once and
+  // hostgen prints the statically checked transfers and launches as CUDA
+  // runtime API code.
   for (const auto &FnPtr : M.Fns) {
     const FnDef &Fn = *FnPtr;
     if (!Fn.isCpuFn() || !Fn.Body)
       continue;
-    hostgen::HostGenResult H = hostgen::emitHostFn(
-        M, Fn, hostgen::HostTarget::Cuda, Opts.FnSuffix);
+    hostir::LowerResult L = hostir::lower(M, Fn);
+    if (!L.Ok) {
+      R.Error = "while emitting host `" + Fn.Name + "`: " + L.Error;
+      return R;
+    }
+    hostgen::HostGenResult H = hostgen::printHostFn(
+        L.Fn, hostgen::HostTarget::Cuda, Opts.FnSuffix);
     if (!H.Ok) {
       R.Error = "while emitting host `" + Fn.Name + "`: " + H.Error;
       return R;

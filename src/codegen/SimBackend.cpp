@@ -555,10 +555,15 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
     const FnDef &Fn = *FnPtr;
     if (!Fn.isCpuFn() || !Fn.Body)
       continue;
+    hostir::LowerResult L = hostir::lower(M, Fn);
+    if (!L.Ok) {
+      R.Error = "while emitting host `" + Fn.Name + "`: " + L.Error;
+      return R;
+    }
     for (hostgen::HostTarget HT :
          {hostgen::HostTarget::Sim, hostgen::HostTarget::SimStream,
           hostgen::HostTarget::SimGraph}) {
-      hostgen::HostGenResult H = hostgen::emitHostFn(M, Fn, HT, FnSuffix);
+      hostgen::HostGenResult H = hostgen::printHostFn(L.Fn, HT, FnSuffix);
       if (!H.Ok) {
         R.Error = "while emitting host `" + Fn.Name + "`: " + H.Error;
         return R;

@@ -2,8 +2,7 @@
 
 #include "hostgen/HostGen.h"
 
-#include "codegen/Lowerer.h" // cppScalarType, floatLiteral, arrayNest, containsPow
-#include "support/StringUtils.h"
+#include "codegen/Lowerer.h" // cppScalarType, floatLiteral, containsPow
 
 #include <map>
 #include <optional>
@@ -13,36 +12,31 @@
 
 using namespace descend;
 using namespace descend::hostgen;
+using hostir::Stmt;
+using hostir::Var;
 
 namespace {
 
-using codegen::arrayNest;
 using codegen::containsPow;
 using codegen::cppScalarType;
 using codegen::floatLiteral;
 
-/// What a host variable is, as far as the emitter cares.
-struct HostVar {
-  enum Kind { HostBuf, DevBuf, Scalar, LoopVar } K = Scalar;
-  ScalarKind Elem = ScalarKind::F64;
-  Nat Count;         // HostBuf / DevBuf: element count
-  bool IsParam = false;
-  bool Shared = false; // HostBuf: bound through a shared reference
-};
+std::string emitName(const std::string &Name, const std::string &FnSuffix) {
+  return (Name == "main" ? "run" : Name) + FnSuffix;
+}
 
-class Emitter {
+class Printer {
 public:
-  Emitter(const Module &M, const FnDef &Fn, HostTarget T,
+  Printer(const hostir::Function &Fn, HostTarget T,
           const std::string &FnSuffix)
-      : M(M), Fn(Fn), T(T),
+      : Fn(Fn), T(T),
         Stream(T == HostTarget::SimStream || T == HostTarget::SimGraph),
         Graph(T == HostTarget::SimGraph), FnSuffix(FnSuffix) {}
 
   HostGenResult run();
 
 private:
-  const Module &M;
-  const FnDef &Fn;
+  const hostir::Function &Fn;
   HostTarget T;
   /// Emitting an asynchronous sim::Stream-taking overload: device
   /// operations enqueue, host-touching statements synchronize first.
@@ -64,10 +58,17 @@ private:
 
   /// Stream mode: how many host-memory-touch points have been emitted so
   /// far. Loop emission snapshots this to detect bodies that touch host
-  /// memory (see emitForNat's back-edge join).
+  /// memory (see the ForNat back-edge join).
   unsigned HostTouches = 0;
 
+  /// Device buffers allocated at function scope, in allocation order
+  /// (cuda: released with cudaFree before returning).
+  std::vector<unsigned> DeviceBufs;
+
   bool isSim() const { return T != HostTarget::Cuda; }
+
+  const Var &slot(unsigned I) const { return Fn.Slots[I]; }
+  const std::string &name(unsigned I) const { return Fn.Slots[I].Name; }
 
   /// Stream mode: joins the stream before a host-memory-touching
   /// statement (no-op otherwise). Every join is followed by a
@@ -86,11 +87,6 @@ private:
     PendingAsync = false;
   }
 
-  std::vector<std::map<std::string, HostVar>> Scopes;
-  /// Device buffers allocated at function scope, in allocation order
-  /// (cuda: released with cudaFree before returning).
-  std::vector<std::string> DeviceBufs;
-
   bool fail(const std::string &Msg) {
     if (Error.empty())
       Error = Msg;
@@ -102,186 +98,121 @@ private:
       OS << "  ";
   }
 
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
-
-  void bind(const std::string &Name, HostVar V) {
-    Scopes.back()[Name] = std::move(V);
-  }
-
-  const HostVar *lookup(const std::string &Name) const {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It)
-      if (auto Found = It->find(Name); Found != It->end())
-        return &Found->second;
-    return nullptr;
-  }
-
-  /// Spelling of a Nat as C++ (sizes are simplified first; unfolded pow
-  /// has no C++ spelling and is rejected).
+  /// Spelling of a (simplified) Nat as C++; an unfolded pow has no C++
+  /// spelling and is rejected.
   std::optional<std::string> natCpp(const Nat &N) {
-    Nat S = N.simplified();
-    if (containsPow(S)) {
-      fail("size expression `" + S.str() + "` contains an unfolded power");
+    if (containsPow(N)) {
+      fail("size expression `" + N.str() + "` contains an unfolded power");
       return std::nullopt;
     }
-    return S.str();
+    return N.str();
   }
 
-  /// The C++ expression denoting the raw host storage of \p Name for a
+  /// The C++ expression denoting the raw host storage of slot \p I for a
   /// cudaMemcpy argument (locals are std::vectors, parameters raw
   /// pointers).
-  std::string hostRaw(const std::string &Name, const HostVar &V) const {
-    return V.IsParam ? Name : Name + ".data()";
+  std::string hostRaw(unsigned I) const {
+    return slot(I).IsParam ? name(I) : name(I) + ".data()";
   }
 
-  std::optional<std::string> exprCpp(const Expr &E);
-  std::optional<std::string> placeCpp(const PlaceExpr &P);
-  std::string argVar(const Expr &E);
+  std::string exprCpp(const hostir::Expr &E) const;
 
-  bool emitSignature();
-  bool emitBlock(const BlockExpr &Blk);
-  bool emitStmt(const Expr &E);
-  bool emitLet(const LetExpr &L);
-  bool emitAllocCall(const CallExpr &C, const std::string &Let);
-  bool emitCall(const CallExpr &C);
-  bool emitLaunch(const CallExpr &C);
-  bool emitForNat(const ForNatExpr &F);
+  void emitSignature();
+  bool emitStmts(const std::vector<Stmt> &Body);
+  bool emitStmt(const Stmt &S);
+  bool emitAllocHost(const Stmt &S);
+  bool emitAllocCopy(const Stmt &S);
+  bool emitCopy(const Stmt &S);
+  void emitCall(const Stmt &S);
+  bool emitLaunch(const Stmt &S);
+  bool emitForNat(const Stmt &S);
 
   // Graph mode ---------------------------------------------------------
 
-  /// Host-buffer slot of host variable \p Name, assigned in first-use
-  /// order during capture emission (also the bind emission order).
-  unsigned graphSlot(const std::string &Name) {
-    auto It = GraphSlots.find(Name);
+  /// Host-buffer slot of the capture graph for frame slot \p I, assigned
+  /// in first-use order during capture emission (also the bind emission
+  /// order).
+  unsigned graphSlot(unsigned I) {
+    auto It = GraphSlots.find(I);
     if (It != GraphSlots.end())
       return It->second;
     unsigned Slot = static_cast<unsigned>(GraphSlots.size());
-    GraphSlots[Name] = Slot;
-    SlotBinds.emplace_back(Slot, Name);
+    GraphSlots[I] = Slot;
+    SlotBinds.emplace_back(Slot, I);
     return Slot;
   }
 
-  bool captureStmtOk(const Expr &E, std::set<std::string> &Locals);
-  size_t scanCapturePrefix(const BlockExpr &Blk);
-  bool emitCaptureStmt(const Expr &E);
-  bool emitGraphBody(const BlockExpr &Blk, size_t Prefix);
+  bool captureStmtOk(const Stmt &S, std::set<unsigned> &Locals) const;
+  size_t scanCapturePrefix() const;
+  bool emitCaptureStmt(const Stmt &S);
+  bool emitGraphBody(size_t Prefix);
 
-  std::map<std::string, unsigned> GraphSlots;
-  std::vector<std::pair<unsigned, std::string>> SlotBinds;
+  std::map<unsigned, unsigned> GraphSlots;
+  std::vector<std::pair<unsigned, unsigned>> SlotBinds;
 };
 
-/// True when \p E (or anything nested in it) names one of \p Names.
+/// True when \p E (or anything nested in it) reads one of \p Slots.
+bool mentionsAny(const hostir::Expr &E, const std::set<unsigned> &Slots) {
+  return ((E.K == hostir::Expr::Slot || E.K == hostir::Expr::Index) &&
+          Slots.count(E.SlotIdx)) ||
+         (E.L && mentionsAny(*E.L, Slots)) || (E.R && mentionsAny(*E.R, Slots));
+}
+
+/// True when \p S (or anything nested in it) names one of \p Slots.
 /// Conservative: used to reject graph capture when post-capture host code
 /// reaches into a capture-produced device buffer.
-bool mentionsAny(const Expr &E, const std::set<std::string> &Names) {
-  if (const auto *V = dyn_cast<PlaceVar>(&E))
-    if (Names.count(V->Name))
+bool mentionsAny(const Stmt &S, const std::set<unsigned> &Slots) {
+  const bool Copy = S.K == Stmt::AllocCopy || S.K == Stmt::CopyToHost ||
+                    S.K == Stmt::CopyToGpu;
+  if ((Copy && Slots.count(S.Src)) ||
+      ((Copy || S.K == Stmt::Assign) && Slots.count(S.Dst)))
+    return true;
+  for (unsigned B : S.Bufs)
+    if (Slots.count(B))
       return true;
-  bool Found = false;
-  forEachChild(const_cast<Expr &>(E), [&](Expr &C) {
-    if (!Found && mentionsAny(C, Names))
-      Found = true;
-  });
-  return Found;
+  for (const hostir::Expr *E : {S.Val.get(), S.Idx.get()})
+    if (E && mentionsAny(*E, Slots))
+      return true;
+  for (const hostir::Expr &A : S.Args)
+    if (mentionsAny(A, Slots))
+      return true;
+  for (const Stmt &B : S.Body)
+    if (mentionsAny(B, Slots))
+      return true;
+  return false;
 }
 
-/// Root variable name of a borrow / place argument; empty for anything
-/// else (the callers report the error with context).
-std::string Emitter::argVar(const Expr &E) {
-  const Expr *Inner = &E;
-  if (const auto *B = dyn_cast<BorrowExpr>(Inner))
-    Inner = B->Place.get();
-  if (const auto *P = dyn_cast<PlaceExpr>(Inner))
-    return P->rootVar();
-  return "";
-}
-
-std::optional<std::string> Emitter::placeCpp(const PlaceExpr &P) {
-  // Flatten root-to-leaf.
-  std::vector<const PlaceExpr *> Chain;
-  for (const PlaceExpr *Cur = &P; Cur; Cur = basePlace(Cur))
-    Chain.push_back(Cur);
-  std::reverse(Chain.begin(), Chain.end());
-
-  std::string S;
-  for (const PlaceExpr *Step : Chain) {
-    switch (Step->kind()) {
-    case ExprKind::PlaceVar: {
-      const auto *V = cast<PlaceVar>(Step);
-      if (!lookup(V->Name)) {
-        fail("unknown host variable `" + V->Name + "`");
-        return std::nullopt;
-      }
-      S = V->Name;
-      break;
-    }
-    case ExprKind::PlaceDeref:
-      // Buffers index directly in both targets (HostBuffer::operator[],
-      // raw pointers, std::vector); the deref is implicit.
-      break;
-    case ExprKind::PlaceIndex: {
-      const auto *Idx = cast<PlaceIndex>(Step);
-      auto I = exprCpp(*Idx->Index);
-      if (!I)
-        return std::nullopt;
-      S += "[" + *I + "]";
-      break;
-    }
-    default:
-      fail("place `" + P.str() + "` is not addressable in host code");
-      return std::nullopt;
-    }
-  }
-  return S;
-}
-
-std::optional<std::string> Emitter::exprCpp(const Expr &E) {
-  switch (E.kind()) {
-  case ExprKind::Literal: {
-    const auto *L = cast<LiteralExpr>(&E);
-    switch (L->Scalar) {
+std::string Printer::exprCpp(const hostir::Expr &E) const {
+  switch (E.K) {
+  case hostir::Expr::Lit:
+    switch (E.Ty) {
     case ScalarKind::F32:
     case ScalarKind::F64:
-      return floatLiteral(L->FloatValue, L->Scalar);
+      return floatLiteral(E.F, E.Ty);
     case ScalarKind::Bool:
-      return std::string(L->BoolValue ? "true" : "false");
+      return E.I ? "true" : "false";
     default:
-      return std::to_string(L->IntValue);
+      return std::to_string(E.I);
     }
+  case hostir::Expr::Binary:
+    return "(" + exprCpp(*E.L) + " " + binOpSpelling(E.BO) + " " +
+           exprCpp(*E.R) + ")";
+  case hostir::Expr::Unary:
+    return (E.UO == UnOpKind::Neg ? "-" : "!") + exprCpp(*E.L);
+  case hostir::Expr::Index:
+    // Buffers index directly in both targets (HostBuffer::operator[],
+    // raw pointers, std::vector); the source deref is implicit.
+    return name(E.SlotIdx) + "[" + exprCpp(*E.L) + "]";
+  case hostir::Expr::Slot:
+    break;
   }
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(&E);
-    auto L = exprCpp(*B->Lhs);
-    auto R = exprCpp(*B->Rhs);
-    if (!L || !R)
-      return std::nullopt;
-    return "(" + *L + " " + binOpSpelling(B->Op) + " " + *R + ")";
-  }
-  case ExprKind::Unary: {
-    const auto *U = cast<UnaryExpr>(&E);
-    auto S = exprCpp(*U->Sub);
-    if (!S)
-      return std::nullopt;
-    return std::string(U->Op == UnOpKind::Neg ? "-" : "!") + *S;
-  }
-  case ExprKind::PlaceVar:
-  case ExprKind::PlaceDeref:
-  case ExprKind::PlaceIndex:
-    return placeCpp(*cast<PlaceExpr>(&E));
-  default:
-    fail("unsupported host expression: " + exprToString(E));
-    return std::nullopt;
-  }
+  return name(E.SlotIdx);
 }
 
-bool Emitter::emitSignature() {
-  if (Fn.RetTy && !DataType::equal(Fn.RetTy, makeUnit()))
-    return fail("host functions must return (), `" + Fn.Name + "` returns `" +
-                Fn.RetTy->str() + "`");
-
-  OS << "/// " << Fn.signature() << "\n";
-  OS << (isSim() ? "inline void " : "void ")
-     << hostFnEmitName(Fn, FnSuffix) << "(";
+void Printer::emitSignature() {
+  OS << "/// " << Fn.Signature << "\n";
+  OS << (isSim() ? "inline void " : "void ") << emitName(Fn.Name, FnSuffix)
+     << "(";
   bool First = true;
   auto Sep = [&]() {
     if (!First)
@@ -298,52 +229,20 @@ bool Emitter::emitSignature() {
     OS << "descend::sim::GpuDevice &_dev";
   }
 
-  for (const FnParam &P : Fn.Params) {
-    HostVar V;
-    V.IsParam = true;
-    if (const auto *Ref = dyn_cast<RefType>(P.Ty.get())) {
-      std::vector<Nat> Dims;
-      ScalarKind Elem = ScalarKind::F64;
-      if (!arrayNest(Ref->Pointee, Dims, Elem))
-        return fail("unsupported host parameter type `" + P.Ty->str() + "`");
-      Nat Count = Nat::lit(1);
-      for (const Nat &D : Dims)
-        Count = Count * D;
-      V.Elem = Elem;
-      V.Count = Count.simplified();
-      V.Shared = Ref->Own == Ownership::Shrd;
-      if (Ref->Mem.Kind == MemoryKind::CpuMem) {
-        V.K = HostVar::HostBuf;
-        Sep();
-        if (isSim())
-          OS << (V.Shared ? "const descend::rt::HostBuffer<"
-                          : "descend::rt::HostBuffer<")
-             << cppScalarType(Elem) << "> &" << P.Name;
-        else
-          OS << (V.Shared ? "const " : "") << cppScalarType(Elem) << " *"
-             << P.Name;
-      } else if (Ref->Mem.Kind == MemoryKind::GpuGlobal) {
-        V.K = HostVar::DevBuf;
-        Sep();
-        if (isSim())
-          OS << "descend::sim::GpuDevice::Buffer<" << cppScalarType(Elem)
-             << "> " << P.Name;
-        else
-          OS << (V.Shared ? "const " : "") << cppScalarType(Elem) << " *"
-             << P.Name;
-      } else {
-        return fail("unsupported host parameter memory `" +
-                    Ref->Mem.str() + "`");
-      }
-    } else if (const auto *S = dyn_cast<ScalarType>(P.Ty.get())) {
-      V.K = HostVar::Scalar;
-      V.Elem = S->Scalar;
-      Sep();
-      OS << cppScalarType(S->Scalar) << " " << P.Name;
-    } else {
-      return fail("unsupported host parameter type `" + P.Ty->str() + "`");
-    }
-    bind(P.Name, std::move(V));
+  for (unsigned I = 0; I != Fn.NumParams; ++I) {
+    const Var &V = slot(I);
+    const char *CT = cppScalarType(V.Elem);
+    Sep();
+    if (V.K == Var::HostArr && isSim())
+      OS << (V.Shared ? "const descend::rt::HostBuffer<"
+                      : "descend::rt::HostBuffer<")
+         << CT << "> &" << V.Name;
+    else if (V.K == Var::DevArr && isSim())
+      OS << "descend::sim::GpuDevice::Buffer<" << CT << "> " << V.Name;
+    else if (V.K == Var::Scalar)
+      OS << CT << " " << V.Name;
+    else
+      OS << (V.Shared ? "const " : "") << CT << " *" << V.Name;
   }
   OS << ") {\n";
   if (Stream) {
@@ -354,71 +253,72 @@ bool Emitter::emitSignature() {
     indent();
     OS << "(void)_dev;\n";
   }
-  return true;
 }
 
-bool Emitter::emitBlock(const BlockExpr &Blk) {
-  for (const ExprPtr &S : Blk.Stmts)
-    if (!emitStmt(*S))
+bool Printer::emitStmts(const std::vector<Stmt> &Body) {
+  for (const Stmt &S : Body)
+    if (!emitStmt(S))
       return false;
   return true;
 }
 
-bool Emitter::emitStmt(const Expr &E) {
-  switch (E.kind()) {
-  case ExprKind::Let:
-    return emitLet(*cast<LetExpr>(&E));
-  case ExprKind::Call:
-    return emitCall(*cast<CallExpr>(&E));
-  case ExprKind::Assign: {
-    const auto *A = cast<AssignExpr>(&E);
-    syncIfPending(); // assignment may read/write host buffers
-    auto L = placeCpp(*A->Lhs);
-    auto R = exprCpp(*A->Rhs);
-    if (!L || !R)
-      return false;
-    indent();
-    OS << *L << " = " << *R << ";\n";
+bool Printer::emitStmt(const Stmt &S) {
+  switch (S.K) {
+  case Stmt::AllocHost:
+    return emitAllocHost(S);
+  case Stmt::AllocCopy:
+    return emitAllocCopy(S);
+  case Stmt::CopyToHost:
+  case Stmt::CopyToGpu:
+    return emitCopy(S);
+  case Stmt::Launch:
+    return emitLaunch(S);
+  case Stmt::Call:
+    emitCall(S);
     return true;
-  }
-  case ExprKind::ForNat:
+  case Stmt::LetScalar:
+    syncIfPending(); // the initializer may read host buffers
+    indent();
+    OS << cppScalarType(slot(S.Dst).Elem) << " " << name(S.Dst) << " = "
+       << exprCpp(*S.Val) << ";\n";
+    return true;
+  case Stmt::Assign:
+    syncIfPending(); // assignment may read/write host buffers
+    indent();
+    OS << name(S.Dst);
+    if (S.Idx)
+      OS << "[" << exprCpp(*S.Idx) << "]";
+    OS << " = " << exprCpp(*S.Val) << ";\n";
+    return true;
+  case Stmt::ForNat:
     syncIfPending(); // the loop body may read host buffers
-    return emitForNat(*cast<ForNatExpr>(&E));
-  case ExprKind::Block: {
+    return emitForNat(S);
+  case Stmt::Block: {
     indent();
     OS << "{\n";
     ++Depth;
-    pushScope();
-    bool Ok = emitBlock(*cast<BlockExpr>(&E));
-    popScope();
+    bool Ok = emitStmts(S.Body);
     --Depth;
     indent();
     OS << "}\n";
     return Ok;
   }
-  default:
-    return fail("unsupported host statement: " + exprToString(E));
   }
+  return fail("unhandled host statement");
 }
 
-bool Emitter::emitForNat(const ForNatExpr &F) {
-  auto Lo = natCpp(F.Lo);
-  auto Hi = natCpp(F.Hi);
+bool Printer::emitForNat(const Stmt &S) {
+  auto Lo = natCpp(S.Lo);
+  auto Hi = natCpp(S.Hi);
   if (!Lo || !Hi)
     return false;
+  const std::string &V = name(S.Dst);
   indent();
-  OS << "for (long long " << F.Var << " = " << *Lo << "; " << F.Var << " != "
-     << *Hi << "; ++" << F.Var << ") {\n";
+  OS << "for (long long " << V << " = " << *Lo << "; " << V << " != " << *Hi
+     << "; ++" << V << ") {\n";
   ++Depth;
-  pushScope();
-  HostVar V;
-  V.K = HostVar::LoopVar;
-  V.Elem = ScalarKind::I64;
-  bind(F.Var, std::move(V));
   const unsigned TouchesBefore = HostTouches;
-  bool Ok = F.Body->kind() == ExprKind::Block
-                ? emitBlock(*cast<BlockExpr>(F.Body.get()))
-                : emitStmt(*F.Body);
+  bool Ok = emitStmts(S.Body);
   // Stream mode back edge: a body that both touches host memory and
   // leaves operations pending would race with its own next iteration
   // (the per-statement sync points were emitted against the *first*
@@ -432,105 +332,30 @@ bool Emitter::emitForNat(const ForNatExpr &F) {
     OS << "descend::rt::checkDevice(_dev, \"stream synchronize\");\n";
     PendingAsync = false;
   }
-  popScope();
   --Depth;
   indent();
   OS << "}\n";
   return Ok;
 }
 
-bool Emitter::emitLet(const LetExpr &L) {
-  if (const auto *C = dyn_cast<CallExpr>(L.Init.get()))
-    if (C->Callee == "CpuHeap::new" || C->Callee == "GpuGlobal::alloc_copy")
-      return emitAllocCall(*C, L.Name);
-  if (const auto *A = dyn_cast<AllocExpr>(L.Init.get())) {
-    // alloc::<cpu.mem, [T; n]>() — zero-initialized host heap array.
-    std::vector<Nat> Dims;
-    ScalarKind Elem = ScalarKind::F64;
-    if (A->Mem.Kind != MemoryKind::CpuMem ||
-        !arrayNest(A->AllocTy, Dims, Elem))
-      return fail("unsupported host allocation: " + exprToString(*L.Init));
-    Nat Count = Nat::lit(1);
-    for (const Nat &D : Dims)
-      Count = Count * D;
-    auto N = natCpp(Count);
-    if (!N)
-      return false;
-    indent();
-    if (isSim())
-      OS << "descend::rt::HostBuffer<" << cppScalarType(Elem) << "> "
-         << L.Name << "(" << *N << ", " << cppScalarType(Elem) << "{});\n";
-    else
-      OS << "std::vector<" << cppScalarType(Elem) << "> " << L.Name << "("
-         << *N << ", " << cppScalarType(Elem) << "{});\n";
-    HostVar V;
-    V.K = HostVar::HostBuf;
-    V.Elem = Elem;
-    V.Count = Count.simplified();
-    bind(L.Name, std::move(V));
-    return true;
-  }
-  // Scalar let.
-  syncIfPending(); // the initializer may read host buffers
-  auto Init = exprCpp(*L.Init);
-  if (!Init)
+bool Printer::emitAllocHost(const Stmt &S) {
+  const Var &V = slot(S.Dst);
+  auto N = natCpp(V.Count);
+  if (!N)
     return false;
-  ScalarKind Elem = ScalarKind::F64;
-  if (const auto *S = dyn_cast_if_present<ScalarType>(
-          (L.Annotation ? L.Annotation : L.Init->Ty).get()))
-    Elem = S->Scalar;
-  else if (const auto *Lit = dyn_cast<LiteralExpr>(L.Init.get()))
-    Elem = Lit->Scalar;
+  const char *CT = cppScalarType(V.Elem);
   indent();
-  OS << cppScalarType(Elem) << " " << L.Name << " = " << *Init << ";\n";
-  HostVar V;
-  V.K = HostVar::Scalar;
-  V.Elem = Elem;
-  bind(L.Name, std::move(V));
+  OS << (isSim() ? "descend::rt::HostBuffer<" : "std::vector<") << CT << "> "
+     << V.Name << "(" << *N << ", "
+     << (S.Val ? exprCpp(*S.Val) : std::string(CT) + "{}") << ");\n";
   return true;
 }
 
-bool Emitter::emitAllocCall(const CallExpr &C, const std::string &Let) {
-  if (C.Callee == "CpuHeap::new") {
-    const auto *Init = dyn_cast<ArrayInitExpr>(C.Args.empty()
-                                                   ? nullptr
-                                                   : C.Args[0].get());
-    if (!Init)
-      return fail("CpuHeap::new expects an array initializer `[v; n]`");
-    ScalarKind Elem = ScalarKind::F64;
-    if (const auto *S =
-            dyn_cast_if_present<ScalarType>(Init->Elem->Ty.get()))
-      Elem = S->Scalar;
-    else if (const auto *Lit = dyn_cast<LiteralExpr>(Init->Elem.get()))
-      Elem = Lit->Scalar;
-    auto Fill = exprCpp(*Init->Elem);
-    auto N = natCpp(Init->Count);
-    if (!Fill || !N)
-      return false;
-    indent();
-    if (isSim())
-      OS << "descend::rt::HostBuffer<" << cppScalarType(Elem) << "> " << Let
-         << "(" << *N << ", " << *Fill << ");\n";
-    else
-      OS << "std::vector<" << cppScalarType(Elem) << "> " << Let << "(" << *N
-         << ", " << *Fill << ");\n";
-    HostVar V;
-    V.K = HostVar::HostBuf;
-    V.Elem = Elem;
-    V.Count = Init->Count.simplified();
-    bind(Let, std::move(V));
-    return true;
-  }
-
-  // GpuGlobal::alloc_copy(&host_buf).
-  std::string Src = argVar(*C.Args[0]);
-  const HostVar *SrcVar = Src.empty() ? nullptr : lookup(Src);
-  if (!SrcVar || SrcVar->K != HostVar::HostBuf)
-    return fail("GpuGlobal::alloc_copy expects a reference to a host "
-                "buffer variable");
-  const char *CT = cppScalarType(SrcVar->Elem);
-  indent();
+bool Printer::emitAllocCopy(const Stmt &S) {
+  const std::string &Let = name(S.Dst);
+  const std::string &Src = name(S.Src);
   if (isSim()) {
+    indent();
     if (Stream) {
       OS << "auto " << Let << " = descend::rt::allocCopyAsync(_stream, "
          << Src << ");\n";
@@ -539,124 +364,91 @@ bool Emitter::emitAllocCall(const CallExpr &C, const std::string &Let) {
       OS << "auto " << Let << " = descend::rt::allocCopy(_dev, " << Src
          << ");\n";
     }
-  } else {
-    auto N = natCpp(SrcVar->Count);
-    if (!N)
-      return false;
-    if (Scopes.size() > 1)
-      return fail("device allocations must happen at host-function scope "
-                  "(needed for cudaFree cleanup)");
-    OS << CT << " *" << Let << " = nullptr;\n";
-    indent();
-    OS << "cudaMalloc(&" << Let << ", sizeof(" << CT << ") * (" << *N
-       << "));\n";
-    indent();
-    OS << "cudaMemcpy(" << Let << ", " << hostRaw(Src, *SrcVar) << ", sizeof("
-       << CT << ") * (" << *N << "), cudaMemcpyHostToDevice);\n";
-    DeviceBufs.push_back(Let);
+    return true;
   }
-  HostVar V;
-  V.K = HostVar::DevBuf;
-  V.Elem = SrcVar->Elem;
-  V.Count = SrcVar->Count;
-  bind(Let, std::move(V));
+  auto N = natCpp(slot(S.Src).Count);
+  if (!N)
+    return false;
+  if (Depth > 1)
+    return fail("device allocations must happen at host-function scope "
+                "(needed for cudaFree cleanup)");
+  const char *CT = cppScalarType(slot(S.Src).Elem);
+  indent();
+  OS << CT << " *" << Let << " = nullptr;\n";
+  indent();
+  OS << "cudaMalloc(&" << Let << ", sizeof(" << CT << ") * (" << *N
+     << "));\n";
+  indent();
+  OS << "cudaMemcpy(" << Let << ", " << hostRaw(S.Src) << ", sizeof(" << CT
+     << ") * (" << *N << "), cudaMemcpyHostToDevice);\n";
+  DeviceBufs.push_back(S.Dst);
   return true;
 }
 
-bool Emitter::emitCall(const CallExpr &C) {
-  if (C.IsLaunch)
-    return emitLaunch(C);
-
-  if (C.Callee == "copy_mem_to_host" || C.Callee == "copy_to_gpu") {
-    bool ToHost = C.Callee == "copy_mem_to_host";
-    std::string Dst = argVar(*C.Args[0]);
-    std::string Src = argVar(*C.Args[1]);
-    const HostVar *DstVar = Dst.empty() ? nullptr : lookup(Dst);
-    const HostVar *SrcVar = Src.empty() ? nullptr : lookup(Src);
-    if (!DstVar || !SrcVar)
-      return fail("`" + C.Callee + "` expects buffer variable references");
+bool Printer::emitCopy(const Stmt &S) {
+  const bool ToHost = S.K == Stmt::CopyToHost;
+  const std::string &Dst = name(S.Dst);
+  const std::string &Src = name(S.Src);
+  if (isSim()) {
+    // Pass the host-program variable names through so a size-mismatch
+    // rt::Error names the offending buffers, not just the counts.
     indent();
-    if (isSim()) {
-      // Pass the host-program variable names through so a size-mismatch
-      // rt::Error names the offending buffers, not just the counts.
-      if (Stream) {
-        OS << (ToHost ? "descend::rt::copyToHostAsync(_stream, "
-                      : "descend::rt::copyToGpuAsync(_stream, ")
-           << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
-           << "\");\n";
-        PendingAsync = true;
-      } else {
-        OS << (ToHost ? "descend::rt::copyToHost("
-                      : "descend::rt::copyToGpu(")
-           << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
-           << "\");\n";
-      }
-      return true;
+    if (Stream) {
+      OS << (ToHost ? "descend::rt::copyToHostAsync(_stream, "
+                    : "descend::rt::copyToGpuAsync(_stream, ")
+         << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
+         << "\");\n";
+      PendingAsync = true;
+    } else {
+      OS << (ToHost ? "descend::rt::copyToHost(" : "descend::rt::copyToGpu(")
+         << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
+         << "\");\n";
     }
-    const HostVar &HostSide = ToHost ? *DstVar : *SrcVar;
-    const char *CT = cppScalarType(HostSide.Elem);
-    auto N = natCpp(HostSide.Count);
-    if (!N)
-      return false;
-    if (ToHost)
-      OS << "cudaMemcpy(" << hostRaw(Dst, *DstVar) << ", " << Src
-         << ", sizeof(" << CT << ") * (" << *N
-         << "), cudaMemcpyDeviceToHost);\n";
-    else
-      OS << "cudaMemcpy(" << Dst << ", " << hostRaw(Src, *SrcVar)
-         << ", sizeof(" << CT << ") * (" << *N
-         << "), cudaMemcpyHostToDevice);\n";
     return true;
   }
-
-  // Plain call of another host function. Stream mode threads the stream
-  // through, joining the caller's pending operations first (the callee
-  // may touch host memory in its first statement without a sync of its
-  // own); a callee with pending operations joins them before returning,
-  // so the caller resumes with a quiet stream either way.
-  if (const FnDef *Callee = M.findFn(C.Callee); Callee && Callee->isCpuFn()) {
-    syncIfPending();
-    std::vector<std::string> Args;
-    for (const ExprPtr &A : C.Args) {
-      std::string Name = argVar(*A);
-      if (!Name.empty()) {
-        const HostVar *V = lookup(Name);
-        if (!V)
-          return fail("unknown host variable `" + Name + "`");
-        // Cuda locals are std::vectors but host parameters are raw
-        // pointers; decay at the call boundary.
-        Args.push_back(T == HostTarget::Cuda && V->K == HostVar::HostBuf
-                           ? hostRaw(Name, *V)
-                           : Name);
-        continue;
-      }
-      auto S = exprCpp(*A);
-      if (!S)
-        return false;
-      Args.push_back(*S);
-    }
-    indent();
-    OS << hostFnEmitName(*Callee, FnSuffix) << "(";
-    if (isSim())
-      OS << (Stream ? "_stream" : "_dev") << (Args.empty() ? "" : ", ");
-    for (size_t I = 0; I != Args.size(); ++I)
-      OS << (I ? ", " : "") << Args[I];
-    OS << ");\n";
-    PendingAsync = false;
-    return true;
-  }
-  return fail("unsupported host call: " + C.Callee);
+  const Var &HostSide = slot(ToHost ? S.Dst : S.Src);
+  const char *CT = cppScalarType(HostSide.Elem);
+  auto N = natCpp(HostSide.Count);
+  if (!N)
+    return false;
+  indent();
+  if (ToHost)
+    OS << "cudaMemcpy(" << hostRaw(S.Dst) << ", " << Src << ", sizeof(" << CT
+       << ") * (" << *N << "), cudaMemcpyDeviceToHost);\n";
+  else
+    OS << "cudaMemcpy(" << Dst << ", " << hostRaw(S.Src) << ", sizeof(" << CT
+       << ") * (" << *N << "), cudaMemcpyHostToDevice);\n";
+  return true;
 }
 
-bool Emitter::emitLaunch(const CallExpr &C) {
-  std::vector<std::string> Args;
-  for (const ExprPtr &A : C.Args) {
-    std::string Name = argVar(*A);
-    if (Name.empty() || !lookup(Name))
-      return fail("kernel launch arguments must be buffer variable "
-                  "references");
-    Args.push_back(Name);
+/// Plain call of another host function. Stream mode threads the stream
+/// through, joining the caller's pending operations first (the callee may
+/// touch host memory in its first statement without a sync of its own);
+/// a callee with pending operations joins them before returning, so the
+/// caller resumes with a quiet stream either way.
+void Printer::emitCall(const Stmt &S) {
+  syncIfPending();
+  indent();
+  OS << emitName(S.Callee, FnSuffix) << "(";
+  if (isSim())
+    OS << (Stream ? "_stream" : "_dev") << (S.Args.empty() ? "" : ", ");
+  for (size_t I = 0; I != S.Args.size(); ++I) {
+    const hostir::Expr &A = S.Args[I];
+    // Cuda locals are std::vectors but host parameters are raw pointers;
+    // decay at the call boundary.
+    const bool Decay = T == HostTarget::Cuda && A.K == hostir::Expr::Slot &&
+                       slot(A.SlotIdx).K == Var::HostArr;
+    OS << (I ? ", " : "") << (Decay ? hostRaw(A.SlotIdx) : exprCpp(A));
   }
+  OS << ");\n";
+  PendingAsync = false;
+}
+
+bool Printer::emitLaunch(const Stmt &S) {
+  std::string Args;
+  for (unsigned B : S.Bufs)
+    Args += (Args.empty() ? "" : ", ") + name(B);
+  const std::string Sep = Args.empty() ? "" : ", ";
   indent();
   if (isSim()) {
     // The generated simulator kernel lives in the same emitted namespace;
@@ -666,24 +458,18 @@ bool Emitter::emitLaunch(const CallExpr &C) {
     // reference — the frame outlives the operation because stream
     // drivers synchronize before returning).
     if (Stream) {
-      OS << "_stream.enqueue([=, &_dev] { " << C.Callee << FnSuffix
-         << "(_dev";
-      for (const std::string &A : Args)
-        OS << ", " << A;
-      OS << "); });\n";
+      OS << "_stream.enqueue([=, &_dev] { " << S.Callee << FnSuffix
+         << "(_dev" << Sep << Args << "); });\n";
       PendingAsync = true;
       return true;
     }
-    OS << C.Callee << FnSuffix << "(_dev";
-    for (const std::string &A : Args)
-      OS << ", " << A;
-    OS << ");\n";
+    OS << S.Callee << FnSuffix << "(_dev" << Sep << Args << ");\n";
     // Synchronous launches complete before returning; surface a sticky
     // device error (trap, timeout) here as a structured rt::Error
     // instead of silently running the rest of the driver on a poisoned
     // device.
     indent();
-    OS << "descend::rt::checkDevice(_dev, \"launch " << C.Callee << "\");\n";
+    OS << "descend::rt::checkDevice(_dev, \"launch " << S.Callee << "\");\n";
     return true;
   }
   auto DimOf = [&](const Dim &D) -> std::optional<std::string> {
@@ -693,21 +479,19 @@ bool Emitter::emitLaunch(const CallExpr &C) {
     for (Axis A : {Axis::X, Axis::Y, Axis::Z}) {
       if (!D.hasAxis(A))
         continue;
-      auto S = natCpp(D.extent(A));
-      if (!S)
+      auto E = natCpp(D.extent(A).simplified());
+      if (!E)
         return std::nullopt;
-      Parts[static_cast<unsigned>(A)] = *S;
+      Parts[static_cast<unsigned>(A)] = *E;
     }
     return "dim3(" + Parts[0] + ", " + Parts[1] + ", " + Parts[2] + ")";
   };
-  auto Grid = DimOf(C.LaunchGrid);
-  auto Block = DimOf(C.LaunchBlock);
+  auto Grid = DimOf(S.GridDim);
+  auto Block = DimOf(S.BlockDim);
   if (!Grid || !Block)
     return false;
-  OS << C.Callee << FnSuffix << "<<<" << *Grid << ", " << *Block << ">>>(";
-  for (size_t I = 0; I != Args.size(); ++I)
-    OS << (I ? ", " : "") << Args[I];
-  OS << ");\n";
+  OS << S.Callee << FnSuffix << "<<<" << *Grid << ", " << *Block << ">>>("
+     << Args << ");\n";
   indent();
   OS << "cudaDeviceSynchronize();\n";
   return true;
@@ -717,7 +501,7 @@ bool Emitter::emitLaunch(const CallExpr &C) {
 // Graph mode: capture-prefix analysis and emission
 //===----------------------------------------------------------------------===//
 
-/// Is \p E a top-level statement the graph overload can capture? The
+/// Is \p S a top-level statement the graph overload can capture? The
 /// capturable shapes are exactly the device-op run a serving loop repeats
 /// per request:
 ///   * `let d = GpuGlobal::alloc_copy(&h)` with `h` a host-buffer
@@ -727,61 +511,46 @@ bool Emitter::emitLaunch(const CallExpr &C) {
 ///     and a capture-local device buffer,
 ///   * launches whose arguments are all capture-locals (a device-buffer
 ///     parameter would replay the first call's buffer forever).
-bool Emitter::captureStmtOk(const Expr &E, std::set<std::string> &Locals) {
-  if (const auto *L = dyn_cast<LetExpr>(&E)) {
-    const auto *C = dyn_cast<CallExpr>(L->Init.get());
-    if (!C || C->Callee != "GpuGlobal::alloc_copy" || C->Args.size() != 1)
+bool Printer::captureStmtOk(const Stmt &S, std::set<unsigned> &Locals) const {
+  auto HostParam = [&](unsigned I) {
+    return slot(I).K == Var::HostArr && slot(I).IsParam;
+  };
+  switch (S.K) {
+  case Stmt::AllocCopy:
+    if (!HostParam(S.Src))
       return false;
-    std::string Src = argVar(*C->Args[0]);
-    const HostVar *V = Src.empty() ? nullptr : lookup(Src);
-    if (!V || V->K != HostVar::HostBuf || !V->IsParam)
-      return false;
-    Locals.insert(L->Name);
+    Locals.insert(S.Dst);
     return true;
-  }
-  const auto *C = dyn_cast<CallExpr>(&E);
-  if (!C)
-    return false;
-  if (C->IsLaunch) {
-    if (C->Args.empty())
+  case Stmt::Launch:
+    if (S.Bufs.empty())
       return false;
-    for (const ExprPtr &A : C->Args) {
-      std::string Name = argVar(*A);
-      if (Name.empty() || !Locals.count(Name))
+    for (unsigned B : S.Bufs)
+      if (!Locals.count(B))
         return false;
-    }
     return true;
+  case Stmt::CopyToHost:
+    return HostParam(S.Dst) && Locals.count(S.Src);
+  case Stmt::CopyToGpu:
+    return HostParam(S.Src) && Locals.count(S.Dst);
+  default:
+    return false;
   }
-  if (C->Callee == "copy_mem_to_host" || C->Callee == "copy_to_gpu") {
-    if (C->Args.size() != 2)
-      return false;
-    const bool ToHost = C->Callee == "copy_mem_to_host";
-    std::string Dst = argVar(*C->Args[0]);
-    std::string Src = argVar(*C->Args[1]);
-    const std::string &Host = ToHost ? Dst : Src;
-    const std::string &Device = ToHost ? Src : Dst;
-    const HostVar *HV = Host.empty() ? nullptr : lookup(Host);
-    return HV && HV->K == HostVar::HostBuf && HV->IsParam &&
-           Locals.count(Device) != 0;
-  }
-  return false;
 }
 
-/// Length of the maximal capturable leading run of \p Blk's top-level
+/// Length of the maximal capturable leading run of the body's top-level
 /// statements, or 0 when the program can't use capture at all (including
 /// when a post-prefix statement reaches into a capture-local: those live
 /// inside the first-call capture block and replay frozen, so any later
 /// mention would change meaning — fall back entirely).
-size_t Emitter::scanCapturePrefix(const BlockExpr &Blk) {
-  std::set<std::string> Locals;
+size_t Printer::scanCapturePrefix() const {
+  std::set<unsigned> Locals;
   size_t Prefix = 0;
-  while (Prefix != Blk.Stmts.size() &&
-         captureStmtOk(*Blk.Stmts[Prefix], Locals))
+  while (Prefix != Fn.Body.size() && captureStmtOk(Fn.Body[Prefix], Locals))
     ++Prefix;
   if (Prefix == 0)
     return 0;
-  for (size_t I = Prefix; I != Blk.Stmts.size(); ++I)
-    if (mentionsAny(*Blk.Stmts[I], Locals))
+  for (size_t I = Prefix; I != Fn.Body.size(); ++I)
+    if (mentionsAny(Fn.Body[I], Locals))
       return 0;
   return Prefix;
 }
@@ -790,35 +559,20 @@ size_t Emitter::scanCapturePrefix(const BlockExpr &Blk) {
 /// through the rt::*Capture helpers (slot-based, rebindable at replay);
 /// launches emit exactly the stream-mode enqueue — enqueue-during-capture
 /// records the closure as a graph node.
-bool Emitter::emitCaptureStmt(const Expr &E) {
-  if (const auto *L = dyn_cast<LetExpr>(&E)) {
-    const auto *C = cast<CallExpr>(L->Init.get());
-    std::string Src = argVar(*C->Args[0]);
-    const HostVar *SrcVar = lookup(Src);
-    indent();
-    OS << "auto " << L->Name << " = descend::rt::allocCopyCapture<"
-       << cppScalarType(SrcVar->Elem) << ">(_stream, " << graphSlot(Src)
-       << ", " << Src << ".size(), \"" << Src << "\");\n";
-    HostVar V;
-    V.K = HostVar::DevBuf;
-    V.Elem = SrcVar->Elem;
-    V.Count = SrcVar->Count;
-    bind(L->Name, std::move(V));
-    return true;
-  }
-  const auto *C = cast<CallExpr>(&E);
-  if (C->IsLaunch)
-    return emitLaunch(*C);
-  const bool ToHost = C->Callee == "copy_mem_to_host";
-  std::string Dst = argVar(*C->Args[0]);
-  std::string Src = argVar(*C->Args[1]);
+bool Printer::emitCaptureStmt(const Stmt &S) {
+  if (S.K == Stmt::Launch)
+    return emitLaunch(S);
   indent();
-  if (ToHost)
-    OS << "descend::rt::copyToHostCapture(_stream, " << graphSlot(Dst)
-       << ", " << Src << ", \"" << Dst << "\");\n";
+  if (S.K == Stmt::AllocCopy)
+    OS << "auto " << name(S.Dst) << " = descend::rt::allocCopyCapture<"
+       << cppScalarType(slot(S.Src).Elem) << ">(_stream, " << graphSlot(S.Src)
+       << ", " << name(S.Src) << ".size(), \"" << name(S.Src) << "\");\n";
+  else if (S.K == Stmt::CopyToHost)
+    OS << "descend::rt::copyToHostCapture(_stream, " << graphSlot(S.Dst)
+       << ", " << name(S.Src) << ", \"" << name(S.Dst) << "\");\n";
   else
-    OS << "descend::rt::copyToGpuCapture(_stream, " << graphSlot(Src)
-       << ", " << Dst << ", \"" << Src << "\");\n";
+    OS << "descend::rt::copyToGpuCapture(_stream, " << graphSlot(S.Src)
+       << ", " << name(S.Dst) << ", \"" << name(S.Src) << "\");\n";
   return true;
 }
 
@@ -826,14 +580,14 @@ bool Emitter::emitCaptureStmt(const Expr &E) {
 /// rebind the host-buffer slots to this call's parameters, replay the
 /// whole prefix as one stream operation, then emit the non-captured tail
 /// in plain stream form.
-bool Emitter::emitGraphBody(const BlockExpr &Blk, size_t Prefix) {
+bool Printer::emitGraphBody(size_t Prefix) {
   indent();
   OS << "if (!_graph.instantiated()) {\n";
   ++Depth;
   indent();
   OS << "_stream.beginCapture();\n";
   for (size_t I = 0; I != Prefix; ++I)
-    if (!emitCaptureStmt(*Blk.Stmts[I]))
+    if (!emitCaptureStmt(Fn.Body[I]))
       return false;
   indent();
   OS << "_graph = _stream.endCapture().instantiate();\n";
@@ -843,37 +597,33 @@ bool Emitter::emitGraphBody(const BlockExpr &Blk, size_t Prefix) {
   PendingAsync = false; // capture records; nothing actually enqueued
   for (const auto &SB : SlotBinds) {
     indent();
-    OS << "_graph.bind(" << SB.first << ", " << SB.second << ", \""
-       << SB.second << "\");\n";
+    OS << "_graph.bind(" << SB.first << ", " << name(SB.second) << ", \""
+       << name(SB.second) << "\");\n";
   }
   indent();
   OS << "_graph.launch(_stream);\n";
   PendingAsync = true; // the replay is one pending stream operation
-  for (size_t I = Prefix; I != Blk.Stmts.size(); ++I)
-    if (!emitStmt(*Blk.Stmts[I]))
+  for (size_t I = Prefix; I != Fn.Body.size(); ++I)
+    if (!emitStmt(Fn.Body[I]))
       return false;
   return true;
 }
 
-HostGenResult Emitter::run() {
+HostGenResult Printer::run() {
   HostGenResult R;
-  pushScope();
-  bool Ok = emitSignature();
-  if (Ok && Fn.Body) {
-    const auto &Blk = *cast<BlockExpr>(Fn.Body.get());
-    const size_t Prefix = Graph ? scanCapturePrefix(Blk) : 0;
-    if (Graph && Prefix == 0) {
-      // Shape doesn't fit capture: the graph overload degrades to the
-      // plain stream body (emission is total, never a compile failure).
-      indent();
-      OS << "(void)_graph;\n";
-    }
-    Ok = Prefix > 0 ? emitGraphBody(Blk, Prefix) : emitBlock(Blk);
+  emitSignature();
+  const size_t Prefix = Graph ? scanCapturePrefix() : 0;
+  if (Graph && Prefix == 0) {
+    // Shape doesn't fit capture: the graph overload degrades to the
+    // plain stream body (emission is total, never a compile failure).
+    indent();
+    OS << "(void)_graph;\n";
   }
+  bool Ok = Prefix > 0 ? emitGraphBody(Prefix) : emitStmts(Fn.Body);
   if (Ok && T == HostTarget::Cuda)
-    for (const std::string &Buf : DeviceBufs) {
+    for (unsigned Buf : DeviceBufs) {
       indent();
-      OS << "cudaFree(" << Buf << ");\n";
+      OS << "cudaFree(" << name(Buf) << ");\n";
     }
   // Stream drivers join before returning: enqueued operations may borrow
   // this frame's locals, and the caller observes the same state as after
@@ -881,7 +631,6 @@ HostGenResult Emitter::run() {
   if (Ok)
     syncIfPending();
   OS << "}\n";
-  popScope();
   if (!Ok) {
     R.Error = Error.empty() ? "host emission failed" : Error;
     return R;
@@ -902,16 +651,11 @@ bool hostgen::hasHostFns(const Module &M) {
 
 std::string hostgen::hostFnEmitName(const FnDef &Fn,
                                     const std::string &FnSuffix) {
-  return (Fn.Name == "main" ? "run" : Fn.Name) + FnSuffix;
+  return emitName(Fn.Name, FnSuffix);
 }
 
-HostGenResult hostgen::emitHostFn(const Module &M, const FnDef &Fn,
-                                  HostTarget Target,
-                                  const std::string &FnSuffix) {
-  if (!Fn.isCpuFn()) {
-    HostGenResult R;
-    R.Error = "`" + Fn.Name + "` is not a cpu.thread function";
-    return R;
-  }
-  return Emitter(M, Fn, Target, FnSuffix).run();
+HostGenResult hostgen::printHostFn(const hostir::Function &Fn,
+                                   HostTarget Target,
+                                   const std::string &FnSuffix) {
+  return Printer(Fn, Target, FnSuffix).run();
 }

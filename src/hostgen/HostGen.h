@@ -1,11 +1,12 @@
 //===- hostgen/HostGen.h - Host-program code generation ---------*- C++ -*-===//
 //
-// Part of the Descend reproduction. Lowers the *host* side of a Descend
-// program (Sections 2.3 / 3.4 / 3.5): `cpu.thread` functions that allocate
-// heap and device memory, transfer data between cpu.mem and gpu.global and
-// launch kernels with an explicit execution configuration. Where the type
-// checker proves the transfers and launches correct, this layer turns the
-// proven program into a runnable driver:
+// Part of the Descend reproduction. Prints the *host* side of a Descend
+// program (Sections 2.3 / 3.4 / 3.5) — `cpu.thread` functions that
+// allocate heap and device memory, transfer data between cpu.mem and
+// gpu.global and launch kernels with an explicit execution configuration
+// — as a runnable C++ driver. Where the type checker proves the transfers
+// and launches correct, hostir::lower (hostir/HostIR.h) turns the proven
+// function into host IR once, and this layer prints that IR per target:
 //
 //   sim        C++ against runtime/HostRuntime.h + sim/Sim.h —
 //              rt::HostBuffer allocations, rt::allocCopy / rt::copyToHost
@@ -27,7 +28,7 @@
 //              rebound per call (GraphExec::bind); any trailing host
 //              statements emit in stream form. Programs whose shape
 //              doesn't fit (no capturable prefix, or later statements
-//              reaching into capture-produced buffers) fall back to the
+//              reaching into capture-produced slots) fall back to the
 //              plain stream body — emission is total.
 //   cuda       CUDA runtime API host code — std::vector staging,
 //              cudaMalloc / cudaMemcpy with statically computed byte
@@ -39,11 +40,10 @@
 // examples drive; every other host function keeps its own name so host
 // functions can call each other.
 //
-// The emitters are deliberately structural: they only accept the host
-// fragment of the language (lets, builtin allocation/transfer calls,
-// launches, for-nat loops, scalar arithmetic and host-array assignment)
-// and fail with a descriptive error otherwise — device-only constructs
-// never reach them in type-checked modules.
+// The host fragment's acceptance rules live in hostir::lower. The printer
+// adds only the rules of the printed language: a size with an unfolded
+// power has no C++ spelling, and cuda device allocations must sit at
+// function scope so the driver can cudaFree them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +51,7 @@
 #define DESCEND_HOSTGEN_HOSTGEN_H
 
 #include "ast/Item.h"
+#include "hostir/HostIR.h"
 
 #include <string>
 
@@ -78,10 +79,10 @@ bool hasHostFns(const Module &M);
 /// same suffix the kernel emitters use, so launches resolve).
 std::string hostFnEmitName(const FnDef &Fn, const std::string &FnSuffix);
 
-/// Emits \p Fn (a cpu.thread function of \p M, which must have passed the
-/// type checker) as a host driver for \p Target.
-HostGenResult emitHostFn(const Module &M, const FnDef &Fn, HostTarget Target,
-                         const std::string &FnSuffix);
+/// Prints \p Fn (lowered by hostir::lower) as a host driver for
+/// \p Target.
+HostGenResult printHostFn(const hostir::Function &Fn, HostTarget Target,
+                          const std::string &FnSuffix);
 
 } // namespace hostgen
 } // namespace descend

@@ -5,8 +5,9 @@
 // compiler, vm::compile() translates every lowered kernel of a module
 // into a compact register-style bytecode — a flat instruction vector with
 // a constant pool per phase body, mirroring the phase-program tree
-// (codegen/PhaseIR.h) node for node — plus a small host-statement IR for
-// the module's cpu.thread functions. The result is a self-contained,
+// (codegen/PhaseIR.h) node for node — plus the module's cpu.thread
+// functions as lowered by hostir::lower, with every size, bound, kernel
+// and callee resolved. The result is a self-contained,
 // immutable CompiledProgram artifact: it holds no pointers into the
 // Module it was compiled from, so a compile service can cache and share
 // it across threads, and the interpreter (vm/Interp.h) can launch it on
@@ -25,6 +26,7 @@
 #define DESCEND_VM_BYTECODE_H
 
 #include "ast/Type.h" // ScalarKind
+#include "hostir/HostIR.h"
 #include "kir/Schedule.h" // kir::PassConfig
 #include "nat/Nat.h"
 #include "sim/Sim.h" // sim::Dim3
@@ -162,44 +164,31 @@ struct VmKernel {
 // Host-program IR
 //===----------------------------------------------------------------------===//
 
-/// A host-side scalar expression, compiled from the structural host
-/// fragment (hostgen's accepted language): literals, frame slots, host
-/// array indexing and arithmetic.
-struct HostExpr {
-  enum Kind { Lit, Slot, Index, Binary, Unary } K = Lit;
-  ScalarKind Ty = ScalarKind::F64; ///< result kind
-  Value LitV{};                    ///< Lit
-  unsigned SlotIdx = 0;            ///< Slot: scalar / loop var; Index: array
-  std::unique_ptr<HostExpr> L, R;  ///< Binary; Unary/Index use L
-  int BO = 0;                      ///< Binary: BinOpKind as int
-  int UO = 0;                      ///< Unary: UnOpKind as int
-};
+/// A host-side scalar expression: the lowered host IR's own expression
+/// (hostir/HostIR.h), already resolved to frame slots.
+using HostExpr = hostir::Expr;
 
-/// One statement of a compiled host function. Slot indices refer to the
-/// function's frame (parameters first, then locals in definition order).
+/// One statement of a compiled host function: a lowered hostir::Stmt
+/// (same kinds) with every size and bound evaluated and every kernel and
+/// callee resolved to an index. Slot indices refer to the function's
+/// frame (parameters first, then locals in definition order).
 struct HostStmt {
-  enum Kind {
-    AllocHost,  ///< frame[Dst] = host array (Count x Elem, filled with Fill)
-    AllocCopy,  ///< frame[Dst] = device buffer copied from host frame[Src]
-    CopyToHost, ///< host frame[Dst] <- device frame[Src] (checked sizes)
-    CopyToGpu,  ///< device frame[Dst] <- host frame[Src]
-    Launch,     ///< launch Kernels[KernelIdx] with device buffers ArgSlots
-    LetScalar,  ///< frame[Dst] = eval(Fill)
-    Assign,     ///< frame[Dst][eval(Idx)] = eval(Fill); scalar slot if !Idx
-    ForNat,     ///< for frame[Dst] in [Lo..Hi) run Body
-    Call,       ///< HostFns[CalleeIdx](frame[ArgSlots]...)
-  } K = LetScalar;
+  using Kind = hostir::Stmt::Kind;
+  using enum hostir::Stmt::Kind;
+  Kind K = LetScalar;
 
   unsigned Dst = 0, Src = 0;
-  ScalarKind Elem = ScalarKind::F64;
-  size_t Count = 0;              // AllocHost
-  std::unique_ptr<HostExpr> Fill; // AllocHost fill / LetScalar / Assign value
-  std::unique_ptr<HostExpr> Idx;  // Assign index (null: scalar target)
-  unsigned KernelIdx = 0;
-  std::vector<unsigned> ArgSlots; // Launch / Call
-  unsigned CalleeIdx = 0;         // Call
-  long long Lo = 0, Hi = 0;       // ForNat (bounds are instantiated nats)
-  std::vector<HostStmt> Body;     // ForNat
+  ScalarKind Elem = ScalarKind::F64; // the kind of slot Dst
+  size_t Count = 0;                  // AllocHost
+  std::unique_ptr<HostExpr> Fill;    // AllocHost fill (null: zero) /
+                                     // LetScalar / Assign value
+  std::unique_ptr<HostExpr> Idx;     // Assign index (null: scalar target)
+  unsigned KernelIdx = 0;            // Launch
+  std::vector<unsigned> ArgSlots;    // Launch: device buffers
+  unsigned CalleeIdx = 0;            // Call
+  std::vector<HostExpr> Args;        // Call: a buffer passes as its Slot
+  long long Lo = 0, Hi = 0;          // ForNat (bounds are instantiated nats)
+  std::vector<HostStmt> Body;        // ForNat / Block
 };
 
 /// One compiled cpu.thread function.

@@ -717,8 +717,16 @@ Value convertValue(Value V, ScalarKind From, ScalarKind To) {
 
 Value evalHost(const HostExpr &E, const std::vector<HostVal> &Frame) {
   switch (E.K) {
-  case HostExpr::Lit:
-    return E.LitV;
+  case HostExpr::Lit: {
+    Value V;
+    if (isFloatKind(E.Ty))
+      V.F = E.Ty == ScalarKind::F32
+                ? static_cast<double>(static_cast<float>(E.F))
+                : E.F;
+    else
+      V.I = E.I;
+    return V;
+  }
   case HostExpr::Slot: {
     const HostVal &S = Frame[E.SlotIdx];
     if (S.K != HostVal::Scalar)
@@ -843,7 +851,9 @@ void execHostStmts(HostEnv &E, const std::vector<HostStmt> &Stmts,
       Arr->Elem = S.Elem;
       Arr->Count = S.Count;
       Arr->Bytes.resize(S.Count * scalarSize(S.Elem));
-      Value Fill = convertValue(evalHost(*S.Fill, Frame), S.Fill->Ty, S.Elem);
+      Value Fill = S.Fill ? convertValue(evalHost(*S.Fill, Frame),
+                                         S.Fill->Ty, S.Elem)
+                          : Value{};
       for (size_t I = 0; I != S.Count; ++I)
         storeElem(Arr->Bytes.data(), S.Elem, I, Fill);
       Frame[S.Dst] = HostVal::array(std::move(Arr));
@@ -917,6 +927,9 @@ void execHostStmts(HostEnv &E, const std::vector<HostStmt> &Stmts,
       Frame[S.Dst] = HostVal::scalar(S.Elem, V);
       break;
     }
+    case HostStmt::Block:
+      execHostStmts(E, S.Body, Frame, Depth);
+      break;
     case HostStmt::ForNat: {
       // Same trip semantics as the generated `for (V = Lo; V != Hi; ++V)`.
       for (long long V = S.Lo; V != S.Hi; ++V) {
@@ -928,10 +941,20 @@ void execHostStmts(HostEnv &E, const std::vector<HostStmt> &Stmts,
       break;
     }
     case HostStmt::Call: {
+      // Buffers pass by reference; scalars convert to the parameter's
+      // kind, as at a C++ call boundary.
       const HostFnIR &Callee = E.P.HostFns[S.CalleeIdx];
       std::vector<HostVal> Args;
-      for (unsigned Slot : S.ArgSlots)
-        Args.push_back(Frame[Slot]);
+      for (size_t I = 0; I != S.Args.size(); ++I) {
+        const HostExpr &A = S.Args[I];
+        if (A.K == HostExpr::Slot && Frame[A.SlotIdx].K != HostVal::Scalar) {
+          Args.push_back(Frame[A.SlotIdx]);
+          continue;
+        }
+        ScalarKind To = I < Callee.Params.size() ? Callee.Params[I].Elem : A.Ty;
+        Args.push_back(HostVal::scalar(
+            To, convertValue(evalHost(A, Frame), A.Ty, To)));
+      }
       execHostFn(E, Callee, std::move(Args), Depth + 1);
       break;
     }

@@ -3,8 +3,9 @@
 // Exercises the host-program compilation subsystem end to end at the
 // artifact level: the programs/*.descend fixtures typecheck (or are
 // rejected with the targeted host diagnostics), the sim backend emits a
-// runnable host driver against runtime/HostRuntime.h, and the cuda
-// backend's host output matches the checked-in golden .cu.
+// runnable host driver against runtime/HostRuntime.h, the sim and cuda
+// host output match the checked-in goldens, and the one host lowering
+// gives sim, cuda and vm the same verdict on every rejected shape.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +55,22 @@ Outcome compileProgram(const std::string &FileName,
     Inv.BackendName = Backend;
   O.S = std::make_unique<Session>(Inv);
   CompileResult R = O.S->run(readFile(programPath(FileName)));
+  O.Ok = R.Ok;
+  O.Artifact = R.Artifact;
+  O.Rendered = O.S->renderDiagnostics();
+  return O;
+}
+
+/// Compiles the inline program \p Source with \p Backend.
+Outcome compileSource(const std::string &Source, const std::string &Backend,
+                      std::map<std::string, long long> Defines = {}) {
+  Outcome O;
+  CompilerInvocation Inv;
+  Inv.BufferName = "inline.descend";
+  Inv.Defines = std::move(Defines);
+  Inv.BackendName = Backend;
+  O.S = std::make_unique<Session>(Inv);
+  CompileResult R = O.S->run(Source);
   O.Ok = R.Ok;
   O.Artifact = R.Artifact;
   O.Rendered = O.S->renderDiagnostics();
@@ -386,6 +403,18 @@ TEST(HostGen, CudaDriverMatchesGolden) {
          "--emit=cuda -D nb=8 -o tests/goldens/quickstart_host.cu";
 }
 
+TEST(HostGen, SimDriversMatchGolden) {
+  // All three sim overloads: sync, stream, and graph with its capture
+  // prefix, slot binds and the host `for` tail.
+  Outcome O = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
+  ASSERT_TRUE(O.Ok) << O.Rendered;
+  std::string Golden =
+      readFile(std::string(DESCEND_GOLDEN_DIR) + "/reduction_host.sim.h");
+  EXPECT_EQ(O.Artifact, Golden)
+      << "regenerate with: descendc programs/reduction_host.descend "
+         "--emit=sim -D nb=8 -o tests/goldens/reduction_host.sim.h";
+}
+
 TEST(HostGen, CudaLaunchKeepsAxisSlots) {
   // A Y-leading grid must land in dim3's .y slot, not be packed into .x.
   CompilerInvocation Inv;
@@ -458,6 +487,98 @@ TEST(HostGenDiagnostics, DevicePointerDerefOnHostRejected) {
   EXPECT_FALSE(O.Ok);
   EXPECT_TRUE(O.S->diagnostics().contains(DiagCode::CannotDereference))
       << O.Rendered;
+}
+
+//===----------------------------------------------------------------------===//
+// One host lowering: sim, cuda and vm give the same verdict
+//===----------------------------------------------------------------------===//
+
+TEST(HostLowering, EveryBackendRejectsTheSameShapes) {
+  struct Case {
+    const char *Name;
+    const char *Source;
+    const char *Message;
+  };
+  const Case Cases[] = {
+      {"tuple parameter",
+       "fn main(pair: &uniq cpu.mem (f64, f64)) -[t: cpu.thread]-> () { }",
+       "unsupported host parameter type `&uniq cpu.mem (f64, f64)`"},
+      {"2-D place", R"(
+fn main(m: &uniq cpu.mem [[f64; 4]; 4]) -[t: cpu.thread]-> () {
+  for i in [0..4] { (*m)[i][i] = 1.0 }
+}
+)",
+       "place `(*m)[i][i]` indexes more than one dimension"},
+      {"whole buffer read as a scalar", R"(
+fn main(h: &uniq cpu.mem [f64; 16]) -[t: cpu.thread]-> () {
+  let d = GpuGlobal::alloc_copy(&*h);
+  let x = d
+}
+)",
+       "place `d` reads a whole buffer as a scalar"},
+      {"unsupported host statement", R"(
+fn main() -[t: cpu.thread]-> () {
+  let x = 1.0;
+  x
+}
+)",
+       "unsupported host statement: x"},
+  };
+  for (const Case &C : Cases)
+    for (const char *Backend : {"sim", "cuda", "vm"}) {
+      Outcome O = compileSource(C.Source, Backend);
+      EXPECT_FALSE(O.Ok) << C.Name << " / " << Backend;
+      EXPECT_TRUE(O.S->diagnostics().contains(DiagCode::BackendFailed))
+          << C.Name << " / " << Backend << "\n"
+          << O.Rendered;
+      EXPECT_NE(O.Rendered.find(C.Message), std::string::npos)
+          << C.Name << " / " << Backend << "\n"
+          << O.Rendered;
+    }
+}
+
+TEST(HostLowering, SymbolicSizesPrintButDoNotRun) {
+  // Without -D the C++ printers spell sizes and bounds symbolically; the
+  // vm has no later compiler to defer to and asks for the instantiation.
+  const char *Source = R"(
+fn main<n: nat>(h: &uniq cpu.mem [f64; n]) -[t: cpu.thread]-> () {
+  for i in [0..n] { (*h)[i] = 1.0 }
+}
+)";
+  Outcome Sim = compileSource(Source, "sim");
+  ASSERT_TRUE(Sim.Ok) << Sim.Rendered;
+  EXPECT_NE(Sim.Artifact.find("for (long long i = 0; i != n; ++i)"),
+            std::string::npos)
+      << Sim.Artifact;
+  Outcome Cuda = compileSource(Source, "cuda");
+  ASSERT_TRUE(Cuda.Ok) << Cuda.Rendered;
+  EXPECT_NE(Cuda.Artifact.find("for (long long i = 0; i != n; ++i)"),
+            std::string::npos)
+      << Cuda.Artifact;
+  Outcome Vm = compileSource(Source, "vm");
+  EXPECT_FALSE(Vm.Ok);
+  EXPECT_TRUE(Vm.S->diagnostics().contains(DiagCode::BackendFailed))
+      << Vm.Rendered;
+  EXPECT_NE(Vm.Rendered.find("host parameter size `n` is not instantiated "
+                             "(pass -D)"),
+            std::string::npos)
+      << Vm.Rendered;
+  // Instantiated, all three accept it.
+  for (const char *Backend : {"sim", "cuda", "vm"})
+    EXPECT_TRUE(compileSource(Source, Backend, {{"n", 16}}).Ok) << Backend;
+
+  // The same holds for a whole program: reduction_host prints
+  // `sizeof(double) * (nb * 256)` and `i != nb` when nb is left open.
+  Outcome Red = compileProgram("reduction_host.descend", "cuda");
+  ASSERT_TRUE(Red.Ok) << Red.Rendered;
+  EXPECT_NE(Red.Artifact.find("sizeof(double) * (nb * 256)"),
+            std::string::npos)
+      << Red.Artifact;
+  EXPECT_NE(Red.Artifact.find("i != nb;"), std::string::npos) << Red.Artifact;
+  Outcome RedVm = compileProgram("reduction_host.descend", "vm");
+  EXPECT_FALSE(RedVm.Ok);
+  EXPECT_NE(RedVm.Rendered.find("(pass -D)"), std::string::npos)
+      << RedVm.Rendered;
 }
 
 //===----------------------------------------------------------------------===//

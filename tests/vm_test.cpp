@@ -3,7 +3,7 @@
 // The acceptance gate for the vm backend: interpreting the compiled
 // bytecode must be *bit-identical* to running the C++ the sim backend
 // generated at build time — for every kernel in kernels/*.descend at the
-// test footprints and for both host-bearing programs/*.descend drivers.
+// test footprints and for the host-bearing programs/*.descend drivers.
 // Same inputs, same launch, memcmp over the raw output bytes: the two
 // execution paths (text -> C++ -> compiler -> binary vs text -> bytecode
 // -> interpreter) may not disagree in a single bit.
@@ -19,6 +19,7 @@
 #include "service/CompileService.h"
 #include "vm/Interp.h"
 
+#include "gen_host_call_args.h"      // fill_args + run_args
 #include "gen_matmul_small.h"         // matmul                   (nt=4)
 #include "gen_quickstart_host.h"      // scale_vec + run          (nb=8)
 #include "gen_reduce_small.h"         // reduce                   (nb=8)
@@ -529,6 +530,34 @@ TEST(VmHost, ReductionDriverBitIdenticalToGenerated) {
   double Got;
   std::memcpy(&Got, ATotal->Bytes.data(), sizeof(double));
   EXPECT_NEAR(Got, Expected, 1e-9);
+}
+
+TEST(VmHost, ScalarCallArgumentsBitIdenticalToGenerated) {
+  // Host calls pass a literal (`3.0`) and an arithmetic expression
+  // (`2.0 + 1.0`) by value; the vm evaluates them like the C++ call.
+  const size_t N = 16;
+  auto P = compileVm(DESCEND_PROGRAM_DIR "/host_call_args.descend", {});
+  ASSERT_TRUE(P);
+  const vm::HostFnIR *Main = P->findHostFn("main");
+  ASSERT_NE(Main, nullptr);
+
+  sim::GpuDevice DG;
+  rt::HostBuffer<double> Lit(N, 0.0), Sum(N, 0.0);
+  descend::gen::run_args(DG, Lit, Sum);
+
+  sim::GpuDevice DV;
+  auto ALit = vm::makeHostArray(ScalarKind::F64, N, 0.0);
+  auto ASum = vm::makeHostArray(ScalarKind::F64, N, 0.0);
+  vm::RunStatus St = vm::runHostFn(
+      DV, *P, *Main, {vm::HostVal::array(ALit), vm::HostVal::array(ASum)});
+  ASSERT_TRUE(St.Ok) << St.Error;
+
+  EXPECT_EQ(0, std::memcmp(Lit.data(), ALit->Bytes.data(),
+                           N * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(Sum.data(), ASum->Bytes.data(),
+                           N * sizeof(double)));
+  EXPECT_EQ(Lit[N - 1], 3.0);
+  EXPECT_EQ(Sum[0], 3.0);
 }
 
 TEST(VmHost, ExecuteMainDigestsHostArrays) {
