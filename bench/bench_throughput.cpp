@@ -12,11 +12,14 @@
 //     speedup (tools/bench_baseline.json: throughput_min_speedup).
 //  2. Worker-count scaling sweep on a medium kernel.
 //  3. A mixed serving loop alternating the *generated* quickstart and
-//     reduction host drivers (sync, stream, and graph-replay overloads),
-//     approximating a service handling small independent requests. The
-//     graph mode captures each driver once and replays the instantiated
-//     graph per request; the replay/re-enqueue ratio is gated
-//     (tools/bench_baseline.json: graph_min_replay_speedup).
+//     reduction host drivers (sync and graph-replay overloads) at 1 and 4
+//     workers and at 1 and 64 blocks per request, approximating a service
+//     handling small independent requests. The graph mode captures each
+//     driver once and replays the instantiated graph per request. A
+//     whole-pipeline graph replays one captured request pair; its ratio
+//     over re-enqueueing the same pair in stream form is gated
+//     (tools/bench_baseline.json: graph_min_replay_speedup), and its
+//     ratio over the sync drivers is reported next to it.
 //
 // Output lines are machine-parseable key=value rows prefixed with
 // THROUGHPUT; tools/run_benches.sh turns them into BENCH_throughput.json.
@@ -27,8 +30,10 @@
 #include "service/CompileService.h"
 #include "sim/Sim.h"
 
-#include "gen_quickstart_host_serve.h" // scale_vec_serve + run_serve (nb=1)
-#include "gen_reduction_host_serve.h"  // reduce_rserve + run_rserve  (nb=1)
+#include "gen_quickstart_host_serve.h"   // scale_vec_serve + run_serve (nb=1)
+#include "gen_quickstart_host_serve64.h" // run_serve64               (nb=64)
+#include "gen_reduction_host_serve.h"    // reduce_rserve + run_rserve  (nb=1)
+#include "gen_reduction_host_serve64.h"  // run_rserve64              (nb=64)
 
 #include <atomic>
 #include <chrono>
@@ -207,121 +212,157 @@ void workerSweep() {
 // 3. Mixed host-program serving loop (generated drivers)
 //===----------------------------------------------------------------------===//
 
-/// All serving loops measure best-of-N rounds: the serving rates feed
-/// the gated replay_vs_reenqueue ratio, and scheduler noise on a shared
-/// machine would otherwise dominate a single 512-request sample.
+/// All serving loops measure best-of-N rounds: scheduler noise on a
+/// shared machine would otherwise dominate a single 512-request sample.
 constexpr int ServingRounds = 3;
 
-double servingLoop(bool Streamed, int Requests) {
-  const size_t NQ = 256; // one block per request: serving-sized
-  GpuDevice Dev;
-  Dev.setWorkers(BenchWorkers);
-  rt::HostBuffer<double> QVec(NQ, 1.0);
-  rt::HostBuffer<double> RData(NQ, 0.5), RPartials(1, 0.0), RTotal(1, 0.0);
+/// One pair of build-time serve headers: the generated quickstart and
+/// reduction drivers at a grid of NB blocks of 256 threads.
+struct ServeNb1 {
+  static constexpr size_t NB = 1;
+  template <typename... A> static void quick(A &...Args) {
+    descend::gen::run_serve(Args...);
+  }
+  template <typename... A> static void reduce(A &...Args) {
+    descend::gen::run_rserve(Args...);
+  }
+};
 
+struct ServeNb64 {
+  static constexpr size_t NB = 64;
+  template <typename... A> static void quick(A &...Args) {
+    descend::gen::run_serve64(Args...);
+  }
+  template <typename... A> static void reduce(A &...Args) {
+    descend::gen::run_rserve64(Args...);
+  }
+};
+
+/// The host buffers of one quickstart and one reduction request.
+template <size_t NB> struct ServeBufs {
+  rt::HostBuffer<double> QVec{NB * 256, 1.0};
+  rt::HostBuffer<double> RData{NB * 256, 0.5}, RPartials{NB, 0.0},
+      RTotal{1, 0.0};
+};
+
+/// Best-of-ServingRounds wall time of \p Iters calls of \p Serve(I).
+template <typename F> double bestMs(int Iters, F &&Serve) {
   double BestMs = 0;
   for (int Round = 0; Round != ServingRounds; ++Round) {
     auto T0 = std::chrono::steady_clock::now();
-    if (Streamed) {
-      sim::Stream S(Dev);
-      for (int R = 0; R != Requests; ++R) {
-        if (R % 2 == 0)
-          descend::gen::run_serve(S, QVec);
-        else
-          descend::gen::run_rserve(S, RData, RPartials, RTotal);
-      }
-    } else {
-      for (int R = 0; R != Requests; ++R) {
-        if (R % 2 == 0)
-          descend::gen::run_serve(Dev, QVec);
-        else
-          descend::gen::run_rserve(Dev, RData, RPartials, RTotal);
-      }
-    }
+    for (int I = 0; I != Iters; ++I)
+      Serve(I);
     double Ms = msSince(T0);
     if (Round == 0 || Ms < BestMs)
       BestMs = Ms;
   }
-  report("serving", Streamed ? "generated_stream" : "generated_sync",
-         Requests, BestMs);
-  return Requests / (BestMs / 1000.0);
+  return BestMs;
 }
 
-/// The same mixed serving loop over the graph-mode driver overloads: the
-/// first quickstart/reduction request captures its driver into a
-/// persistent GraphExec; every later request rebinds the host buffers and
-/// replays the instantiated graph with a single enqueue (no per-request
-/// device allocation, no per-op enqueue traffic). Prints the graph shape
-/// alongside the rate so run_benches.sh can stamp ops-per-graph and the
-/// replay count into BENCH_throughput.json.
-double servingLoopGraph(int Requests) {
-  const size_t NQ = 256; // one block per request: serving-sized
+double reportServing(const char *Mode, unsigned Workers, size_t NB,
+                     long long Requests, double Ms) {
+  std::printf("THROUGHPUT serving mode=%s workers=%u nb=%zu count=%lld "
+              "ms=%.3f rate=%.1f\n",
+              Mode, Workers, NB, Requests, Ms, Requests / (Ms / 1000.0));
+  return Requests / (Ms / 1000.0);
+}
+
+/// Requests alternate quickstart and reduction through the synchronous
+/// GpuDevice& drivers.
+template <typename Set> double serveSync(unsigned Workers, int Requests) {
   GpuDevice Dev;
-  Dev.setWorkers(BenchWorkers);
-  rt::HostBuffer<double> QVec(NQ, 1.0);
-  rt::HostBuffer<double> RData(NQ, 0.5), RPartials(1, 0.0), RTotal(1, 0.0);
+  Dev.setWorkers(Workers);
+  ServeBufs<Set::NB> B;
+  double Ms = bestMs(Requests, [&](int R) {
+    if (R % 2 == 0)
+      Set::quick(Dev, B.QVec);
+    else
+      Set::reduce(Dev, B.RData, B.RPartials, B.RTotal);
+  });
+  return reportServing("generated_sync", Workers, Set::NB, Requests, Ms);
+}
 
+/// The same loop over the graph-mode overloads: the first quickstart and
+/// reduction request each capture their driver into a persistent
+/// GraphExec; every later request rebinds the host buffers and replays
+/// the instantiated graph with a single enqueue. Prints the graph shape
+/// so run_benches.sh can stamp ops-per-graph and the replay count.
+template <typename Set> double serveGraph(unsigned Workers, int Requests) {
+  GpuDevice Dev;
+  Dev.setWorkers(Workers);
+  ServeBufs<Set::NB> B;
   sim::Stream S(Dev);
-  sim::GraphExec GQ, GR; // captured on the first request of each kind
-
-  double BestMs = 0;
-  for (int Round = 0; Round != ServingRounds; ++Round) {
-    auto T0 = std::chrono::steady_clock::now();
-    for (int R = 0; R != Requests; ++R) {
-      if (R % 2 == 0)
-        descend::gen::run_serve(S, GQ, QVec);
-      else
-        descend::gen::run_rserve(S, GR, RData, RPartials, RTotal);
-    }
-    double Ms = msSince(T0);
-    if (Round == 0 || Ms < BestMs)
-      BestMs = Ms;
-  }
-  report("serving", "generated_graph", Requests, BestMs);
+  sim::GraphExec GQ, GR;
+  double Ms = bestMs(Requests, [&](int R) {
+    if (R % 2 == 0)
+      Set::quick(S, GQ, B.QVec);
+    else
+      Set::reduce(S, GR, B.RData, B.RPartials, B.RTotal);
+  });
   std::printf("THROUGHPUT graph_shape ops_quickstart=%zu ops_reduction=%zu "
               "replays=%d\n",
               GQ.opCount(), GR.opCount(), Requests * ServingRounds);
-  return Requests / (BestMs / 1000.0);
+  return reportServing("generated_graph", Workers, Set::NB, Requests, Ms);
+}
+
+/// One quickstart request and one reduction request (nb=1) in stream
+/// form: rt::*Async transfers and kernel launches enqueued on \p S, one
+/// join per driver, then the reduction's sequential CPU finish. Captured,
+/// it is the replayed pipeline; called per pair, it is the
+/// enqueue-per-operation baseline the replay is gated against, so both
+/// sides of the gated ratio run exactly the same operations.
+void servePairStreamed(sim::Stream &S, ServeBufs<1> &B) {
+  GpuDevice &Dev = S.device();
+  auto DVec = rt::allocCopyAsync(S, B.QVec);
+  S.enqueue([=, &Dev] { descend::gen::scale_vec_serve(Dev, DVec); });
+  rt::copyToHostAsync(S, B.QVec, DVec, "host_vec", "d_vec");
+  S.synchronize();
+  rt::checkDevice(Dev, "stream synchronize");
+
+  auto DIn = rt::allocCopyAsync(S, B.RData);
+  auto DOut = rt::allocCopyAsync(S, B.RPartials);
+  S.enqueue([=, &Dev] { descend::gen::reduce_rserve(Dev, DIn, DOut); });
+  rt::copyToHostAsync(S, B.RPartials, DOut, "partials", "d_out");
+  S.synchronize();
+  rt::checkDevice(Dev, "stream synchronize");
+  B.RTotal[0] = B.RPartials[0];
+}
+
+/// Re-enqueue baseline: every request pair enqueues its ~7 operations,
+/// allocates 3 device buffers and joins the stream twice.
+double servePipelineReenqueue(unsigned Workers, int Requests) {
+  GpuDevice Dev;
+  Dev.setWorkers(Workers);
+  ServeBufs<1> B;
+  sim::Stream S(Dev);
+  const int Pairs = Requests / 2;
+  double Ms = bestMs(Pairs, [&](int) { servePairStreamed(S, B); });
+  return reportServing("stream_reenqueue", Workers, 1, Pairs * 2, Ms);
 }
 
 /// Whole-pipeline capture — the cudaStreamBeginCapture idiom: record one
-/// full mixed request (quickstart scale + reduction, both generated
-/// *stream* drivers) into a single graph, then serve every later request
-/// pair by replaying it with ONE enqueue and ONE join. This is the
-/// serving shape graphs exist for: the per-iteration re-enqueue baseline
-/// pays ~7 enqueues, 3 device allocations and 2 stream joins for the
-/// same work. The reduction driver's sequential CPU finish is host code,
-/// not device work, so it re-runs on the host per replay.
-double servingLoopPipeline(int Requests) {
-  const size_t NQ = 256;
+/// full request pair (servePairStreamed) into a single graph, then serve
+/// every later pair by replaying it with ONE enqueue and ONE join. The
+/// reduction's CPU finish is host code, not device work, so it re-runs on
+/// the host per replay.
+double servePipelineGraph(unsigned Workers, int Requests) {
   GpuDevice Dev;
-  Dev.setWorkers(BenchWorkers);
-  rt::HostBuffer<double> QVec(NQ, 1.0);
-  rt::HostBuffer<double> RData(NQ, 0.5), RPartials(1, 0.0), RTotal(1, 0.0);
-
+  Dev.setWorkers(Workers);
+  ServeBufs<1> B;
   sim::Stream S(Dev);
   S.beginCapture();
-  descend::gen::run_serve(S, QVec); // enqueues record as graph nodes
-  descend::gen::run_rserve(S, RData, RPartials, RTotal);
+  servePairStreamed(S, B); // enqueues record as graph nodes
   sim::GraphExec G = S.endCapture().instantiate();
 
   const int Pairs = Requests / 2;
-  double BestMs = 0;
-  for (int Round = 0; Round != ServingRounds; ++Round) {
-    auto T0 = std::chrono::steady_clock::now();
-    for (int P = 0; P != Pairs; ++P) {
-      G.launch(S);
-      S.synchronize();
-      RTotal[0] = RPartials[0]; // the driver's host finish, nb=1
-    }
-    double Ms = msSince(T0);
-    if (Round == 0 || Ms < BestMs)
-      BestMs = Ms;
-  }
-  report("serving", "pipeline_graph", Pairs * 2, BestMs);
+  double Ms = bestMs(Pairs, [&](int) {
+    G.launch(S);
+    S.synchronize();
+    B.RTotal[0] = B.RPartials[0];
+  });
   std::printf("THROUGHPUT graph_shape ops_pipeline=%zu replays=%d\n",
               G.opCount(), Pairs * ServingRounds);
-  return Pairs * 2 / (BestMs / 1000.0);
+  return reportServing("pipeline_graph", Workers, 1, Pairs * 2, Ms);
 }
 
 //===----------------------------------------------------------------------===//
@@ -425,11 +466,24 @@ int main() {
 
   workerSweep();
 
+  // Serving at 1 worker (the end-to-end benchmark's setting) and at
+  // BenchWorkers, each at one block and at 64 blocks per request.
   const int Requests = 512;
-  servingLoop(/*Streamed=*/false, Requests);
-  double ServeStreamRate = servingLoop(/*Streamed=*/true, Requests);
-  servingLoopGraph(Requests);
-  double ServeGraphRate = servingLoopPipeline(Requests);
+  double ReplayVsReenqueue = 0;
+  for (unsigned W : {1u, BenchWorkers}) {
+    double Sync1 = serveSync<ServeNb1>(W, Requests);
+    double Graph1 = serveGraph<ServeNb1>(W, Requests);
+    double Sync64 = serveSync<ServeNb64>(W, Requests);
+    double Graph64 = serveGraph<ServeNb64>(W, Requests);
+    double Reenqueue = servePipelineReenqueue(W, Requests);
+    double Replay = servePipelineGraph(W, Requests);
+    std::printf("THROUGHPUT vs_sync workers=%u replay_vs_sync=%.2f "
+                "graph_driver_vs_sync_nb1=%.2f "
+                "graph_driver_vs_sync_nb64=%.2f\n",
+                W, Replay / Sync1, Graph1 / Sync1, Graph64 / Sync64);
+    if (W == BenchWorkers)
+      ReplayVsReenqueue = Replay / Reenqueue;
+  }
 
   compileServiceBench();
 
@@ -438,6 +492,6 @@ int main() {
               PoolRate / SpawnRate, StreamRate / SpawnRate);
   std::printf("THROUGHPUT graph_summary replay_vs_reenqueue=%.2f "
               "replays=%d\n",
-              ServeGraphRate / ServeStreamRate, Requests);
+              ReplayVsReenqueue, Requests);
   return 0;
 }

@@ -97,7 +97,7 @@ GenResult CudaBackend::emit(const Module &M, const BackendOptions &Opts) const {
       R.Error = "while emitting host `" + Fn.Name + "`: " + H.Error;
       return R;
     }
-    OS << H.Code << "\n";
+    OS << "/// " << Fn.signature() << "\n" << H.Code << "\n";
   }
 
   R.Ok = true;

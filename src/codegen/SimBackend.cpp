@@ -543,14 +543,15 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
   // Host functions (Sections 3.4/3.5): emitted below the kernels they
   // launch, so the generated driver resolves the kernel calls directly in
   // this header. `main` is emitted as `run` — the entry point the tests
-  // and examples drive. Each driver comes in three overloads: the
-  // synchronous one over a GpuDevice (the default, bit-identical
-  // semantics), the asynchronous one over a sim::Stream, whose transfers
-  // and launches enqueue in order and join only where host memory is read
-  // (and before returning), and the graph-mode one over a sim::Stream +
-  // sim::GraphExec, which captures the driver's device-op prefix on the
-  // first call and replays it (rebound to the call's buffers) as one
-  // stream operation afterwards.
+  // and examples drive. Each driver comes in three overloads with one
+  // body: the synchronous one over a GpuDevice; the sim::Stream one, a
+  // forwarder that joins the stream (rt::joinStream) and calls the
+  // synchronous driver on the stream's device; and the graph-mode one
+  // over a sim::Stream + sim::GraphExec, which captures the driver's
+  // device-op prefix on the first call, replays it (rebound to the call's
+  // buffers) as one stream operation afterwards and runs the rest
+  // synchronously — or forwards like the stream overload when the driver
+  // has no capturable prefix.
   for (const auto &FnPtr : M.Fns) {
     const FnDef &Fn = *FnPtr;
     if (!Fn.isCpuFn() || !Fn.Body)
@@ -560,6 +561,7 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
       R.Error = "while emitting host `" + Fn.Name + "`: " + L.Error;
       return R;
     }
+    const std::string Doc = "/// " + Fn.signature() + "\n";
     for (hostgen::HostTarget HT :
          {hostgen::HostTarget::Sim, hostgen::HostTarget::SimStream,
           hostgen::HostTarget::SimGraph}) {
@@ -568,7 +570,7 @@ GenResult SimBackend::emit(const Module &M, const BackendOptions &Opts) const {
         R.Error = "while emitting host `" + Fn.Name + "`: " + H.Error;
         return R;
       }
-      OS << "\n" << H.Code;
+      OS << "\n" << Doc << H.Code;
     }
   }
   OS << "\n} // namespace descend::gen\n";

@@ -29,37 +29,18 @@ class Printer {
 public:
   Printer(const hostir::Function &Fn, HostTarget T,
           const std::string &FnSuffix)
-      : Fn(Fn), T(T),
-        Stream(T == HostTarget::SimStream || T == HostTarget::SimGraph),
-        Graph(T == HostTarget::SimGraph), FnSuffix(FnSuffix) {}
+      : Fn(Fn), T(T), FnSuffix(FnSuffix) {}
 
   HostGenResult run();
 
 private:
   const hostir::Function &Fn;
   HostTarget T;
-  /// Emitting an asynchronous sim::Stream-taking overload: device
-  /// operations enqueue, host-touching statements synchronize first.
-  /// (The graph overload reuses all of this machinery for its
-  /// non-captured tail.)
-  bool Stream;
-  /// Emitting the graph-mode overload: capture the leading device-op run
-  /// on the first call, replay + rebind afterwards.
-  bool Graph;
   const std::string &FnSuffix;
 
   std::ostringstream OS;
   std::string Error;
   unsigned Depth = 1;
-
-  /// Stream mode: operations are enqueued but not yet joined; the next
-  /// statement that touches host memory must synchronize first.
-  bool PendingAsync = false;
-
-  /// Stream mode: how many host-memory-touch points have been emitted so
-  /// far. Loop emission snapshots this to detect bodies that touch host
-  /// memory (see the ForNat back-edge join).
-  unsigned HostTouches = 0;
 
   /// Device buffers allocated at function scope, in allocation order
   /// (cuda: released with cudaFree before returning).
@@ -69,23 +50,6 @@ private:
 
   const Var &slot(unsigned I) const { return Fn.Slots[I]; }
   const std::string &name(unsigned I) const { return Fn.Slots[I].Name; }
-
-  /// Stream mode: joins the stream before a host-memory-touching
-  /// statement (no-op otherwise). Every join is followed by a
-  /// rt::checkDevice so a sticky device error surfaces as a structured
-  /// rt::Error at the join instead of the driver returning half-done.
-  void syncIfPending() {
-    if (!Stream)
-      return;
-    ++HostTouches;
-    if (!PendingAsync)
-      return;
-    indent();
-    OS << "_stream.synchronize();\n";
-    indent();
-    OS << "descend::rt::checkDevice(_dev, \"stream synchronize\");\n";
-    PendingAsync = false;
-  }
 
   bool fail(const std::string &Msg) {
     if (Error.empty())
@@ -117,7 +81,17 @@ private:
 
   std::string exprCpp(const hostir::Expr &E) const;
 
+  /// A sim launch: the generated kernel called on `_dev` with the
+  /// launch's device buffers.
+  std::string simLaunchCall(const Stmt &S) const {
+    std::string Call = S.Callee + FnSuffix + "(_dev";
+    for (unsigned B : S.Bufs)
+      Call += ", " + name(B);
+    return Call + ")";
+  }
+
   void emitSignature();
+  void emitForward();
   bool emitStmts(const std::vector<Stmt> &Body);
   bool emitStmt(const Stmt &S);
   bool emitAllocHost(const Stmt &S);
@@ -144,7 +118,7 @@ private:
 
   bool captureStmtOk(const Stmt &S, std::set<unsigned> &Locals) const;
   size_t scanCapturePrefix() const;
-  bool emitCaptureStmt(const Stmt &S);
+  void emitCaptureStmt(const Stmt &S);
   bool emitGraphBody(size_t Prefix);
 
   std::map<unsigned, unsigned> GraphSlots;
@@ -210,7 +184,6 @@ std::string Printer::exprCpp(const hostir::Expr &E) const {
 }
 
 void Printer::emitSignature() {
-  OS << "/// " << Fn.Signature << "\n";
   OS << (isSim() ? "inline void " : "void ") << emitName(Fn.Name, FnSuffix)
      << "(";
   bool First = true;
@@ -221,12 +194,12 @@ void Printer::emitSignature() {
       OS << ",\n    "; // after the device/stream argument
     First = false;
   };
-  if (Stream) {
-    OS << "descend::sim::Stream &_stream";
-    if (Graph)
-      OS << ",\n    descend::sim::GraphExec &_graph";
-  } else if (isSim()) {
+  if (T == HostTarget::Sim) {
     OS << "descend::sim::GpuDevice &_dev";
+  } else if (isSim()) {
+    OS << "descend::sim::Stream &_stream";
+    if (T == HostTarget::SimGraph)
+      OS << ",\n    descend::sim::GraphExec &_graph";
   }
 
   for (unsigned I = 0; I != Fn.NumParams; ++I) {
@@ -245,14 +218,18 @@ void Printer::emitSignature() {
       OS << (V.Shared ? "const " : "") << CT << " *" << V.Name;
   }
   OS << ") {\n";
-  if (Stream) {
-    // Enqueued launches capture the device by reference; the frame stays
-    // alive because stream drivers synchronize before returning.
-    indent();
-    OS << "descend::sim::GpuDevice &_dev = _stream.device();\n";
-    indent();
-    OS << "(void)_dev;\n";
-  }
+}
+
+/// The whole body of a sim::Stream overload, and of a graph overload
+/// without a capturable prefix: the synchronous driver, called with the
+/// same arguments on the device rt::joinStream returns.
+void Printer::emitForward() {
+  const std::string Name = emitName(Fn.Name, FnSuffix);
+  indent();
+  OS << Name << "(descend::rt::joinStream(_stream, \"" << Name << "\")";
+  for (unsigned I = 0; I != Fn.NumParams; ++I)
+    OS << ", " << name(I);
+  OS << ");\n";
 }
 
 bool Printer::emitStmts(const std::vector<Stmt> &Body) {
@@ -277,13 +254,11 @@ bool Printer::emitStmt(const Stmt &S) {
     emitCall(S);
     return true;
   case Stmt::LetScalar:
-    syncIfPending(); // the initializer may read host buffers
     indent();
     OS << cppScalarType(slot(S.Dst).Elem) << " " << name(S.Dst) << " = "
        << exprCpp(*S.Val) << ";\n";
     return true;
   case Stmt::Assign:
-    syncIfPending(); // assignment may read/write host buffers
     indent();
     OS << name(S.Dst);
     if (S.Idx)
@@ -291,7 +266,6 @@ bool Printer::emitStmt(const Stmt &S) {
     OS << " = " << exprCpp(*S.Val) << ";\n";
     return true;
   case Stmt::ForNat:
-    syncIfPending(); // the loop body may read host buffers
     return emitForNat(S);
   case Stmt::Block: {
     indent();
@@ -317,21 +291,7 @@ bool Printer::emitForNat(const Stmt &S) {
   OS << "for (long long " << V << " = " << *Lo << "; " << V << " != " << *Hi
      << "; ++" << V << ") {\n";
   ++Depth;
-  const unsigned TouchesBefore = HostTouches;
   bool Ok = emitStmts(S.Body);
-  // Stream mode back edge: a body that both touches host memory and
-  // leaves operations pending would race with its own next iteration
-  // (the per-statement sync points were emitted against the *first*
-  // iteration's pending state). Join at the end of each iteration. A
-  // body with no host-touch points safely carries its pending
-  // operations across the back edge — the stream keeps them in order.
-  if (Ok && Stream && PendingAsync && HostTouches != TouchesBefore) {
-    indent();
-    OS << "_stream.synchronize();\n";
-    indent();
-    OS << "descend::rt::checkDevice(_dev, \"stream synchronize\");\n";
-    PendingAsync = false;
-  }
   --Depth;
   indent();
   OS << "}\n";
@@ -356,14 +316,8 @@ bool Printer::emitAllocCopy(const Stmt &S) {
   const std::string &Src = name(S.Src);
   if (isSim()) {
     indent();
-    if (Stream) {
-      OS << "auto " << Let << " = descend::rt::allocCopyAsync(_stream, "
-         << Src << ");\n";
-      PendingAsync = true;
-    } else {
-      OS << "auto " << Let << " = descend::rt::allocCopy(_dev, " << Src
-         << ");\n";
-    }
+    OS << "auto " << Let << " = descend::rt::allocCopy(_dev, " << Src
+       << ");\n";
     return true;
   }
   auto N = natCpp(slot(S.Src).Count);
@@ -393,17 +347,9 @@ bool Printer::emitCopy(const Stmt &S) {
     // Pass the host-program variable names through so a size-mismatch
     // rt::Error names the offending buffers, not just the counts.
     indent();
-    if (Stream) {
-      OS << (ToHost ? "descend::rt::copyToHostAsync(_stream, "
-                    : "descend::rt::copyToGpuAsync(_stream, ")
-         << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
-         << "\");\n";
-      PendingAsync = true;
-    } else {
-      OS << (ToHost ? "descend::rt::copyToHost(" : "descend::rt::copyToGpu(")
-         << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
-         << "\");\n";
-    }
+    OS << (ToHost ? "descend::rt::copyToHost(" : "descend::rt::copyToGpu(")
+       << Dst << ", " << Src << ", \"" << Dst << "\", \"" << Src
+       << "\");\n";
     return true;
   }
   const Var &HostSide = slot(ToHost ? S.Dst : S.Src);
@@ -421,17 +367,12 @@ bool Printer::emitCopy(const Stmt &S) {
   return true;
 }
 
-/// Plain call of another host function. Stream mode threads the stream
-/// through, joining the caller's pending operations first (the callee may
-/// touch host memory in its first statement without a sync of its own);
-/// a callee with pending operations joins them before returning, so the
-/// caller resumes with a quiet stream either way.
+/// Plain call of another host function; sim drivers pass their device on.
 void Printer::emitCall(const Stmt &S) {
-  syncIfPending();
   indent();
   OS << emitName(S.Callee, FnSuffix) << "(";
   if (isSim())
-    OS << (Stream ? "_stream" : "_dev") << (S.Args.empty() ? "" : ", ");
+    OS << "_dev" << (S.Args.empty() ? "" : ", ");
   for (size_t I = 0; I != S.Args.size(); ++I) {
     const hostir::Expr &A = S.Args[I];
     // Cuda locals are std::vectors but host parameters are raw pointers;
@@ -441,29 +382,15 @@ void Printer::emitCall(const Stmt &S) {
     OS << (I ? ", " : "") << (Decay ? hostRaw(A.SlotIdx) : exprCpp(A));
   }
   OS << ");\n";
-  PendingAsync = false;
 }
 
 bool Printer::emitLaunch(const Stmt &S) {
-  std::string Args;
-  for (unsigned B : S.Bufs)
-    Args += (Args.empty() ? "" : ", ") + name(B);
-  const std::string Sep = Args.empty() ? "" : ", ";
   indent();
   if (isSim()) {
     // The generated simulator kernel lives in the same emitted namespace;
     // its signature already encodes the (statically checked) launch
-    // configuration. Stream mode enqueues the same call as a stream
-    // operation (buffer handles captured by value, the device by
-    // reference — the frame outlives the operation because stream
-    // drivers synchronize before returning).
-    if (Stream) {
-      OS << "_stream.enqueue([=, &_dev] { " << S.Callee << FnSuffix
-         << "(_dev" << Sep << Args << "); });\n";
-      PendingAsync = true;
-      return true;
-    }
-    OS << S.Callee << FnSuffix << "(_dev" << Sep << Args << ");\n";
+    // configuration.
+    OS << simLaunchCall(S) << ";\n";
     // Synchronous launches complete before returning; surface a sticky
     // device error (trap, timeout) here as a structured rt::Error
     // instead of silently running the rest of the driver on a poisoned
@@ -490,6 +417,9 @@ bool Printer::emitLaunch(const Stmt &S) {
   auto Block = DimOf(S.BlockDim);
   if (!Grid || !Block)
     return false;
+  std::string Args;
+  for (unsigned B : S.Bufs)
+    Args += (Args.empty() ? "" : ", ") + name(B);
   OS << S.Callee << FnSuffix << "<<<" << *Grid << ", " << *Block << ">>>("
      << Args << ");\n";
   indent();
@@ -557,13 +487,13 @@ size_t Printer::scanCapturePrefix() const {
 
 /// Emits one capturable prefix statement in capture form: transfers go
 /// through the rt::*Capture helpers (slot-based, rebindable at replay);
-/// launches emit exactly the stream-mode enqueue — enqueue-during-capture
-/// records the closure as a graph node.
-bool Printer::emitCaptureStmt(const Stmt &S) {
-  if (S.K == Stmt::Launch)
-    return emitLaunch(S);
+/// a launch is enqueued, which during capture records the closure (buffer
+/// handles by value, the device by reference) as a graph node.
+void Printer::emitCaptureStmt(const Stmt &S) {
   indent();
-  if (S.K == Stmt::AllocCopy)
+  if (S.K == Stmt::Launch)
+    OS << "_stream.enqueue([=, &_dev] { " << simLaunchCall(S) << "; });\n";
+  else if (S.K == Stmt::AllocCopy)
     OS << "auto " << name(S.Dst) << " = descend::rt::allocCopyCapture<"
        << cppScalarType(slot(S.Src).Elem) << ">(_stream, " << graphSlot(S.Src)
        << ", " << name(S.Src) << ".size(), \"" << name(S.Src) << "\");\n";
@@ -573,28 +503,29 @@ bool Printer::emitCaptureStmt(const Stmt &S) {
   else
     OS << "descend::rt::copyToGpuCapture(_stream, " << graphSlot(S.Src)
        << ", " << name(S.Dst) << ", \"" << name(S.Src) << "\");\n";
-  return true;
 }
 
 /// The graph overload's body: capture the prefix once (first call),
 /// rebind the host-buffer slots to this call's parameters, replay the
-/// whole prefix as one stream operation, then emit the non-captured tail
-/// in plain stream form.
+/// whole prefix as one stream operation and join it, then run the
+/// non-captured tail synchronously on the stream's device.
 bool Printer::emitGraphBody(size_t Prefix) {
+  indent();
+  OS << "descend::sim::GpuDevice &_dev = _stream.device();\n";
+  indent();
+  OS << "(void)_dev;\n";
   indent();
   OS << "if (!_graph.instantiated()) {\n";
   ++Depth;
   indent();
   OS << "_stream.beginCapture();\n";
   for (size_t I = 0; I != Prefix; ++I)
-    if (!emitCaptureStmt(Fn.Body[I]))
-      return false;
+    emitCaptureStmt(Fn.Body[I]);
   indent();
   OS << "_graph = _stream.endCapture().instantiate();\n";
   --Depth;
   indent();
   OS << "}\n";
-  PendingAsync = false; // capture records; nothing actually enqueued
   for (const auto &SB : SlotBinds) {
     indent();
     OS << "_graph.bind(" << SB.first << ", " << name(SB.second) << ", \""
@@ -602,7 +533,10 @@ bool Printer::emitGraphBody(size_t Prefix) {
   }
   indent();
   OS << "_graph.launch(_stream);\n";
-  PendingAsync = true; // the replay is one pending stream operation
+  indent();
+  OS << "_stream.synchronize();\n";
+  indent();
+  OS << "descend::rt::checkDevice(_dev, \"stream synchronize\");\n";
   for (size_t I = Prefix; I != Fn.Body.size(); ++I)
     if (!emitStmt(Fn.Body[I]))
       return false;
@@ -612,24 +546,25 @@ bool Printer::emitGraphBody(size_t Prefix) {
 HostGenResult Printer::run() {
   HostGenResult R;
   emitSignature();
-  const size_t Prefix = Graph ? scanCapturePrefix() : 0;
-  if (Graph && Prefix == 0) {
+  bool Ok = true;
+  if (T == HostTarget::SimStream) {
+    emitForward();
+  } else if (T != HostTarget::SimGraph) {
+    Ok = emitStmts(Fn.Body);
+  } else if (size_t Prefix = scanCapturePrefix()) {
+    Ok = emitGraphBody(Prefix);
+  } else {
     // Shape doesn't fit capture: the graph overload degrades to the
-    // plain stream body (emission is total, never a compile failure).
+    // stream forwarder (emission is total, never a compile failure).
     indent();
     OS << "(void)_graph;\n";
+    emitForward();
   }
-  bool Ok = Prefix > 0 ? emitGraphBody(Prefix) : emitStmts(Fn.Body);
   if (Ok && T == HostTarget::Cuda)
     for (unsigned Buf : DeviceBufs) {
       indent();
       OS << "cudaFree(" << name(Buf) << ");\n";
     }
-  // Stream drivers join before returning: enqueued operations may borrow
-  // this frame's locals, and the caller observes the same state as after
-  // the synchronous driver.
-  if (Ok)
-    syncIfPending();
   OS << "}\n";
   if (!Ok) {
     R.Error = Error.empty() ? "host emission failed" : Error;

@@ -12,24 +12,23 @@
 //              rt::HostBuffer allocations, rt::allocCopy / rt::copyToHost
 //              transfers, and direct calls of the generated simulator
 //              kernels in the same header.
-//   simStream  the asynchronous overload of the same driver, taking a
-//              sim::Stream instead of a device: transfers enqueue through
-//              rt::*Async, launches enqueue as stream operations, and a
-//              stream synchronize is inserted before any statement that
-//              touches host memory (and before returning), so results are
-//              bit-identical to the synchronous driver while consecutive
-//              device operations pipeline with a single join.
+//   simStream  the sim::Stream overload of the same driver, a forwarder
+//              with no body of its own: rt::joinStream refuses a
+//              capturing stream, joins the stream and rethrows its sticky
+//              error, and the synchronous driver then runs on the
+//              stream's device with the same arguments.
 //   simGraph   the graph-mode overload (sim::Stream + sim::GraphExec):
 //              the driver's leading run of device operations — transfers
 //              touching only host-buffer *parameters* plus launches over
 //              the buffers those transfers produced — is captured into a
 //              launch graph on the first call and *replayed* as one
 //              stream operation on every call, with the parameter buffers
-//              rebound per call (GraphExec::bind); any trailing host
-//              statements emit in stream form. Programs whose shape
-//              doesn't fit (no capturable prefix, or later statements
-//              reaching into capture-produced slots) fall back to the
-//              plain stream body — emission is total.
+//              rebound per call (GraphExec::bind); the replay is joined
+//              and any trailing statements run synchronously on the
+//              stream's device. Programs whose shape doesn't fit (no
+//              capturable prefix, or later statements reaching into
+//              capture-produced slots) forward like simStream — emission
+//              is total.
 //   cuda       CUDA runtime API host code — std::vector staging,
 //              cudaMalloc / cudaMemcpy with statically computed byte
 //              counts, real kernel<<<grid, block>>> launches and cudaFree
@@ -58,9 +57,9 @@
 namespace descend {
 namespace hostgen {
 
-/// Which host substrate to emit for. SimStream emits the asynchronous
-/// sim::Stream overload of the sim driver; SimGraph the capture/replay
-/// overload (the sim backend emits all three).
+/// Which host substrate to emit for. SimStream emits the sim::Stream
+/// forwarder of the sim driver; SimGraph the capture/replay overload (the
+/// sim backend emits all three).
 enum class HostTarget { Sim, SimStream, SimGraph, Cuda };
 
 /// Result of emitting one host function.
@@ -80,7 +79,7 @@ bool hasHostFns(const Module &M);
 std::string hostFnEmitName(const FnDef &Fn, const std::string &FnSuffix);
 
 /// Prints \p Fn (lowered by hostir::lower) as a host driver for
-/// \p Target.
+/// \p Target. The caller prints any doc comment above it.
 HostGenResult printHostFn(const hostir::Function &Fn, HostTarget Target,
                           const std::string &FnSuffix);
 

@@ -453,7 +453,6 @@ LowerResult Lowering::run() {
     return Res;
   }
   R.Name = Fn.Name;
-  R.Signature = Fn.signature();
   Scopes.emplace_back();
   bool Ok = params();
   if (Ok && Fn.Body)

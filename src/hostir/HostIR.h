@@ -96,7 +96,6 @@ struct Stmt {
 /// One lowered cpu.thread function.
 struct Function {
   std::string Name;       ///< source name (`main` stays `main`)
-  std::string Signature;  ///< FnDef::signature()
   unsigned NumParams = 0; ///< Slots[0, NumParams) are the parameters
   std::vector<Var> Slots;
   std::vector<Stmt> Body;

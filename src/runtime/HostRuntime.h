@@ -4,9 +4,10 @@
 // C++ library over the simulator: heap allocation, CPU<->GPU transfer with
 // direction checking and kernel-launch configuration checking — each in a
 // synchronous form, an asynchronous form over sim::Stream (the
-// cudaMemcpyAsync analogue the generated stream drivers call), and a
+// cudaMemcpyAsync analogue for handwritten stream code), and a
 // graph-capture form recording rebindable transfer nodes (what the
-// generated graph-mode drivers call).
+// generated graph-mode drivers call). joinStream is the whole prologue of
+// every generated sim::Stream driver overload.
 //
 // In Descend these mistakes are compile-time errors; this runtime is the
 // substrate equivalent for *handwritten* host code (and for demonstrating,
@@ -46,6 +47,25 @@ inline void checkDevice(sim::GpuDevice &Dev, const char *What = nullptr) {
   const sim::ErrorCode Code = Dev.getLastError(&Msg);
   throw Error(Code, std::string(What ? What : "device operation") +
                         " failed: " + Msg);
+}
+
+/// What a generated sim::Stream driver overload does before it calls the
+/// synchronous driver on the stream's device: refuses a capturing stream
+/// (the driver would run eagerly instead of recording), joins the stream
+/// so the driver runs after everything enqueued on it before, and
+/// rethrows a poisoned stream's original error before any work runs.
+/// \p Fn names the driver in the diagnostics.
+inline sim::GpuDevice &joinStream(sim::Stream &S, const char *Fn) {
+  if (S.capturing())
+    throw std::logic_error(std::string(Fn) +
+                           ": a stream driver cannot run inside a stream "
+                           "capture; capture through the graph overload");
+  S.synchronize();
+  std::string Msg;
+  if (const sim::ErrorCode Code = S.error(&Msg); Code != sim::ErrorCode::Ok)
+    throw Error(Code, std::string(Fn) + ": stream poisoned by earlier " +
+                          sim::errorCodeName(Code) + ": " + Msg);
+  return S.device();
 }
 
 namespace detail {

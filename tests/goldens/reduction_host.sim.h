@@ -119,18 +119,7 @@ inline void run(descend::sim::Stream &_stream,
     descend::rt::HostBuffer<double> &data,
     descend::rt::HostBuffer<double> &partials,
     descend::rt::HostBuffer<double> &total) {
-  descend::sim::GpuDevice &_dev = _stream.device();
-  (void)_dev;
-  auto d_in = descend::rt::allocCopyAsync(_stream, data);
-  auto d_out = descend::rt::allocCopyAsync(_stream, partials);
-  _stream.enqueue([=, &_dev] { reduce(_dev, d_in, d_out); });
-  descend::rt::copyToHostAsync(_stream, partials, d_out, "partials", "d_out");
-  _stream.synchronize();
-  descend::rt::checkDevice(_dev, "stream synchronize");
-  total[0] = 0.0;
-  for (long long i = 0; i != 8; ++i) {
-    total[0] = (total[0] + partials[i]);
-  }
+  run(descend::rt::joinStream(_stream, "run"), data, partials, total);
 }
 
 /// fn main(data: &uniq cpu.mem [f64; 2048], partials: &uniq cpu.mem [f64; 8], total: &uniq cpu.mem [f64; 1]) -[t: cpu.thread]-> unit

@@ -175,57 +175,25 @@ fn scale_vec<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
 }
 
 //===----------------------------------------------------------------------===//
-// Stream overloads (the asynchronous sim drivers)
+// Stream overloads (forwarders to the synchronous driver)
 //===----------------------------------------------------------------------===//
 
-TEST(HostGenStream, EmitsAsyncOverloadWithSingleJoin) {
-  Outcome O = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
-  ASSERT_TRUE(O.Ok) << O.Rendered;
-  // The stream overload sits next to the synchronous driver...
-  EXPECT_NE(O.Artifact.find("inline void run(descend::sim::Stream &_stream"),
-            std::string::npos)
-      << O.Artifact;
-  // ...transfers enqueue, the launch is a stream operation...
-  EXPECT_NE(O.Artifact.find("descend::rt::allocCopyAsync(_stream, data)"),
-            std::string::npos)
-      << O.Artifact;
-  EXPECT_NE(O.Artifact.find("_stream.enqueue([=, &_dev] { reduce(_dev, "
-                            "d_in, d_out); });"),
-            std::string::npos)
-      << O.Artifact;
-  EXPECT_NE(
-      O.Artifact.find("descend::rt::copyToHostAsync(_stream, partials"),
-      std::string::npos)
-      << O.Artifact;
-  // ...and exactly one join sits before the CPU finish reads partials.
-  // (The graph overload follows with the same signature prefix; bound the
-  // stream overload at its start.)
-  size_t StreamStart =
-      O.Artifact.find("inline void run(descend::sim::Stream &_stream");
-  size_t GraphStart = O.Artifact.find(
-      "inline void run(descend::sim::Stream &_stream", StreamStart + 1);
-  ASSERT_NE(GraphStart, std::string::npos) << O.Artifact;
-  std::string StreamPart =
-      O.Artifact.substr(StreamStart, GraphStart - StreamStart);
-  size_t FirstSync = StreamPart.find("_stream.synchronize();");
-  ASSERT_NE(FirstSync, std::string::npos) << StreamPart;
-  EXPECT_LT(FirstSync, StreamPart.find("total[0] = 0.0;")) << StreamPart;
-  EXPECT_EQ(StreamPart.find("_stream.synchronize();", FirstSync + 1),
-            std::string::npos)
-      << "expected a single join in the reduction stream driver\n"
-      << StreamPart;
+/// The first `inline void <Fn>(descend::sim::Stream &_stream, ...)`
+/// definition in \p Artifact (the stream overload; the graph overload
+/// follows it), or "" when there is none.
+std::string streamOverload(const std::string &Artifact,
+                           const std::string &Fn) {
+  size_t Start =
+      Artifact.find("inline void " + Fn + "(descend::sim::Stream &_stream");
+  if (Start == std::string::npos)
+    return "";
+  return Artifact.substr(Start, Artifact.find("\n}\n", Start) + 3 - Start);
 }
 
-TEST(HostGenStream, LoopBodyMixingHostAndDeviceOpsJoinsPerIteration) {
-  // A host loop whose body touches host memory *and* enqueues device
-  // work must join at the end of every iteration: otherwise iteration
-  // N+1's host write races with iteration N's still-pending async copy.
-  CompilerInvocation Inv;
-  Inv.BufferName = "pipeline.descend";
-  Inv.Defines["nb"] = 4;
-  Inv.BackendName = "sim";
-  Session S(Inv);
-  CompileResult R = S.run(R"(
+/// A host program whose loop mixes host stores and device operations
+/// (and reaches into its first device buffer, so it has no graph
+/// capture prefix either).
+const char *LoopMixingHostAndDeviceOps = R"(
 fn scale<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
 -[grid: gpu.grid<X<nb>, X<256>>]-> () {
   sched(X) block in grid {
@@ -245,27 +213,51 @@ fn main<nb: nat>(staging: &uniq cpu.mem [f64; nb*256],
     scale::<<<X<nb>, X<256>>>>(&uniq d)
   }
 }
-)");
-  ASSERT_TRUE(R.Ok) << S.renderDiagnostics();
-  // Inside the loop of the stream overload: the host store must be
-  // preceded (via the back-edge join) by a synchronize, i.e. the loop
-  // body ends with one.
-  size_t StreamFn =
-      R.Artifact.find("inline void run(descend::sim::Stream &_stream");
-  ASSERT_NE(StreamFn, std::string::npos) << R.Artifact;
-  std::string StreamPart = R.Artifact.substr(StreamFn);
-  size_t Loop = StreamPart.find("for (long long r = 0; r != 3; ++r) {");
-  ASSERT_NE(Loop, std::string::npos) << StreamPart;
-  size_t LoopEnd = StreamPart.find("  }\n", Loop);
-  ASSERT_NE(LoopEnd, std::string::npos);
-  std::string Body = StreamPart.substr(Loop, LoopEnd - Loop);
-  size_t LastSync = Body.rfind("_stream.synchronize();");
-  ASSERT_NE(LastSync, std::string::npos)
-      << "loop body must join before its back edge\n"
-      << Body;
-  EXPECT_GT(LastSync, Body.find("scale(_dev, d)"))
-      << "the join must come after the enqueued launch\n"
-      << Body;
+)";
+
+TEST(HostGenStream, StreamOverloadForwardsToSyncDriver) {
+  // Every stream overload is one statement: join the stream, then call
+  // the synchronous driver on its device with the same arguments. No
+  // statement of the driver is printed in stream form.
+  Outcome Red = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
+  ASSERT_TRUE(Red.Ok) << Red.Rendered;
+  EXPECT_EQ(streamOverload(Red.Artifact, "run"),
+            "inline void run(descend::sim::Stream &_stream,\n"
+            "    descend::rt::HostBuffer<double> &data,\n"
+            "    descend::rt::HostBuffer<double> &partials,\n"
+            "    descend::rt::HostBuffer<double> &total) {\n"
+            "  run(descend::rt::joinStream(_stream, \"run\"), data, "
+            "partials, total);\n"
+            "}\n")
+      << Red.Artifact;
+
+  // A scalar parameter and a function suffix forward too.
+  Outcome Args = compileProgram("host_call_args.descend", "sim", {}, "_x");
+  ASSERT_TRUE(Args.Ok) << Args.Rendered;
+  EXPECT_NE(streamOverload(Args.Artifact, "fill_x")
+                .find("  fill_x(descend::rt::joinStream(_stream, "
+                      "\"fill_x\"), buf, v);\n"),
+            std::string::npos)
+      << Args.Artifact;
+
+  Outcome Loop = compileSource(LoopMixingHostAndDeviceOps, "sim", {{"nb", 4}});
+  ASSERT_TRUE(Loop.Ok) << Loop.Rendered;
+  Outcome Quick =
+      compileProgram("quickstart_host.descend", "sim", {{"nb", 8}});
+  ASSERT_TRUE(Quick.Ok) << Quick.Rendered;
+  for (const Outcome *O : {&Red, &Args, &Loop, &Quick}) {
+    for (const char *Fn : {"run", "run_x", "fill_x"}) {
+      std::string Part = streamOverload(O->Artifact, Fn);
+      EXPECT_EQ(Part.find("enqueue"), std::string::npos) << Part;
+      EXPECT_EQ(Part.find("Async"), std::string::npos) << Part;
+      EXPECT_EQ(Part.find("synchronize"), std::string::npos) << Part;
+    }
+  }
+  EXPECT_NE(streamOverload(Loop.Artifact, "run")
+                .find("  run(descend::rt::joinStream(_stream, \"run\"), "
+                      "staging, ticks);\n}\n"),
+            std::string::npos)
+      << Loop.Artifact;
 }
 
 //===----------------------------------------------------------------------===//
@@ -346,47 +338,25 @@ TEST(HostGenGraph, ReductionCapturesPrefixAndKeepsHostTail) {
   EXPECT_LT(Sync, Tail) << GraphPart;
 }
 
-TEST(HostGenGraph, UncapturableShapeFallsBackToStreamBody) {
+TEST(HostGenGraph, UncapturableShapeFallsBackToForwarder) {
   // The loop re-transfers into the capture-produced buffer `d`, so the
   // prefix is unusable (post-prefix statements reach into a capture
-  // local): the graph overload must degrade to the plain stream body
-  // instead of failing the compile.
-  CompilerInvocation Inv;
-  Inv.BufferName = "pipeline.descend";
-  Inv.Defines["nb"] = 4;
-  Inv.BackendName = "sim";
-  Session S(Inv);
-  CompileResult R = S.run(R"(
-fn scale<nb: nat>(vec: &uniq gpu.global [f64; nb*256])
--[grid: gpu.grid<X<nb>, X<256>>]-> () {
-  sched(X) block in grid {
-    sched(X) thread in block {
-      vec.group::<256>[[block]][[thread]] =
-        vec.group::<256>[[block]][[thread]] * 3.0
-    }
-  }
-}
-fn main<nb: nat>(staging: &uniq cpu.mem [f64; nb*256],
-                 ticks: &uniq cpu.mem [f64; 4])
--[t: cpu.thread]-> () {
-  let d = GpuGlobal::alloc_copy(&*staging);
-  for r in [0..3] {
-    (*ticks)[0] = 1.0;
-    copy_to_gpu(&uniq d, &*staging);
-    scale::<<<X<nb>, X<256>>>>(&uniq d)
-  }
-}
-)");
-  ASSERT_TRUE(R.Ok) << S.renderDiagnostics();
-  size_t GraphFn = R.Artifact.find("descend::sim::GraphExec &_graph");
-  ASSERT_NE(GraphFn, std::string::npos) << R.Artifact;
-  std::string GraphPart = R.Artifact.substr(GraphFn);
-  EXPECT_NE(GraphPart.find("(void)_graph;"), std::string::npos) << GraphPart;
-  EXPECT_EQ(GraphPart.find("beginCapture"), std::string::npos) << GraphPart;
-  // The stream-mode body still emits in full.
-  EXPECT_NE(GraphPart.find("descend::rt::allocCopyAsync(_stream, staging)"),
+  // local): the graph overload must degrade to the stream overload's
+  // forwarder instead of failing the compile.
+  Outcome O = compileSource(LoopMixingHostAndDeviceOps, "sim", {{"nb", 4}});
+  ASSERT_TRUE(O.Ok) << O.Rendered;
+  size_t GraphFn = O.Artifact.find("descend::sim::GraphExec &_graph");
+  ASSERT_NE(GraphFn, std::string::npos) << O.Artifact;
+  std::string GraphPart = O.Artifact.substr(GraphFn);
+  EXPECT_NE(GraphPart.find(") {\n"
+                           "  (void)_graph;\n"
+                           "  run(descend::rt::joinStream(_stream, \"run\"), "
+                           "staging, ticks);\n"
+                           "}\n"),
             std::string::npos)
       << GraphPart;
+  EXPECT_EQ(GraphPart.find("beginCapture"), std::string::npos) << GraphPart;
+  EXPECT_EQ(GraphPart.find("enqueue"), std::string::npos) << GraphPart;
 }
 
 //===----------------------------------------------------------------------===//
@@ -404,8 +374,8 @@ TEST(HostGen, CudaDriverMatchesGolden) {
 }
 
 TEST(HostGen, SimDriversMatchGolden) {
-  // All three sim overloads: sync, stream, and graph with its capture
-  // prefix, slot binds and the host `for` tail.
+  // All three sim overloads: sync, the stream forwarder, and graph with
+  // its capture prefix, slot binds and the synchronous host `for` tail.
   Outcome O = compileProgram("reduction_host.descend", "sim", {{"nb", 8}});
   ASSERT_TRUE(O.Ok) << O.Rendered;
   std::string Golden =

@@ -202,11 +202,25 @@ import json, re, sys
 log = open(sys.argv[1]).read()
 rows = []
 for m in re.finditer(
-    r"^THROUGHPUT (\S+) mode=(\S+) count=(\d+) ms=([0-9.]+) "
-    r"rate=([0-9.]+)$", log, re.M):
-    rows.append({"section": m.group(1), "mode": m.group(2),
-                 "count": int(m.group(3)), "ms": float(m.group(4)),
-                 "rate_per_sec": float(m.group(5))})
+    r"^THROUGHPUT (\S+) mode=(\S+)(?: workers=(\d+) nb=(\d+))? "
+    r"count=(\d+) ms=([0-9.]+) rate=([0-9.]+)$", log, re.M):
+    row = {"section": m.group(1), "mode": m.group(2),
+           "count": int(m.group(5)), "ms": float(m.group(6)),
+           "rate_per_sec": float(m.group(7))}
+    if m.group(3):
+        row["workers"] = int(m.group(3))
+        row["nb"] = int(m.group(4))
+    rows.append(row)
+# Reported, not gated: whole-pipeline replay and the graph-mode drivers
+# over the sync drivers, per serving worker count.
+vs_sync = [{"workers": int(m.group(1)),
+            "replay_vs_sync": float(m.group(2)),
+            "graph_driver_vs_sync": {"nb1": float(m.group(3)),
+                                     "nb64": float(m.group(4))}}
+           for m in re.finditer(
+               r"^THROUGHPUT vs_sync workers=(\d+) replay_vs_sync=([0-9.]+) "
+               r"graph_driver_vs_sync_nb1=([0-9.]+) "
+               r"graph_driver_vs_sync_nb64=([0-9.]+)$", log, re.M)]
 speed = re.search(
     r"^THROUGHPUT speedup pool_vs_spawn=([0-9.]+) streams_vs_spawn="
     r"([0-9.]+)$", log, re.M)
@@ -246,7 +260,8 @@ json.dump({"bench": "throughput", "unit": "ops/s", "rows": rows,
                "ops_pipeline":
                    int(pipe_shape.group(1)) if pipe_shape else None,
                "pipeline_replays":
-                   int(pipe_shape.group(2)) if pipe_shape else None}},
+                   int(pipe_shape.group(2)) if pipe_shape else None},
+           "vs_sync": vs_sync},
           open(sys.argv[2], "w"), indent=2)
 PY
 echo "-> $OUT_DIR/BENCH_throughput.json"
@@ -295,7 +310,8 @@ PY
 python3 - "$OUT_DIR/BENCH_throughput.json" \
           "$ROOT_DIR/tools/bench_baseline.json" <<'PY'
 import json, sys
-graph = json.load(open(sys.argv[1])).get("graph")
+bench = json.load(open(sys.argv[1]))
+graph = bench.get("graph")
 floor = json.load(open(sys.argv[2])).get("graph_min_replay_speedup", 2.0)
 if not graph:
     sys.exit("bench gate: no graph summary in BENCH_throughput.json")
@@ -304,6 +320,11 @@ verdict = "PASS" if measured >= floor else "FAIL"
 print(f"bench gate: graph replay {measured:.2f}x over re-enqueue "
       f"(floor {floor:.2f}x, {graph['ops_pipeline']} ops/replay) "
       f"-> {verdict}")
+for v in bench.get("vs_sync", []):
+    print(f"bench report: workers={v['workers']} replay_vs_sync "
+          f"{v['replay_vs_sync']:.2f}x, graph_driver_vs_sync "
+          f"nb1 {v['graph_driver_vs_sync']['nb1']:.2f}x "
+          f"nb64 {v['graph_driver_vs_sync']['nb64']:.2f}x (not gated)")
 if measured < floor:
     sys.exit(1)
 PY
